@@ -116,23 +116,33 @@ class Graph:
         return Graph(sorted(ks), es, {v: self.weights[v] for v in ks})
 
     def connected_components(self) -> list["Graph"]:
-        """Components as induced subgraphs, ordered by smallest contained label."""
-        seen: set[str] = set()
-        comps: list[Graph] = []
+        """Components as induced subgraphs, ordered by smallest contained label.
+
+        One pass: a BFS labels every vertex with its component, then a single
+        scan of the edges buckets each into its component, O(n + m) in all.
+        """
+        comp_of: dict[str, int] = {}
+        members: list[list[str]] = []
         for start in self.vertices:  # sorted, so components come out ordered
-            if start in seen:
+            if start in comp_of:
                 continue
-            comp = {start}
+            comp_of[start] = len(members)
             queue = [start]
-            while queue:
-                x = queue.pop()
+            for x in queue:
                 for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
+                    if y not in comp_of:
+                        comp_of[y] = len(members)
                         queue.append(y)
-            seen |= comp
-            comps.append(self.induced_subgraph(comp))
-        return comps
+            members.append(queue)
+        if len(members) == 1:
+            return [self]
+        edges: list[list[Edge]] = [[] for _ in members]
+        for e in self.edges:
+            edges[comp_of[e[0]]].append(e)
+        return [
+            Graph(vs, es, {v: self.weights[v] for v in vs})
+            for vs, es in zip(members, edges)
+        ]
 
 
 @dataclass(frozen=True)
@@ -152,12 +162,6 @@ class TwinPartition:
             for v in cls:
                 out[v] = rep
         return out
-
-    def class_of(self, v: str) -> frozenset[str]:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise ValueError(f"unknown vertex {v!r}")
 
 
 def twin_classes(g: Graph) -> TwinPartition:

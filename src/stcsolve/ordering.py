@@ -5,6 +5,10 @@ with v_i v_k an edge, both v_i v_j and v_j v_k are edges. A graph admits such
 an ordering exactly when it is a proper interval graph. Recognition runs
 multi-sweep lexicographic BFS and then always verifies the candidate, so
 correctness rests on the verification, not on the sweep heuristic.
+
+Each sweep is partition refinement (Habib, McConnell, Paul & Viennot,
+"Lex-BFS and partition refinement", TCS 2000) and costs O(n + m log n), so
+recognition is near-linear: three sweeps, then a linear verification.
 """
 
 from __future__ import annotations
@@ -70,56 +74,97 @@ def _reaches(g: Graph, order: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[i
     return tuple(left), tuple(right)
 
 
-def _lexbfs(g: Graph, vertices: list[str], prev: list[str] | None = None) -> list[str]:
-    """One LexBFS sweep over `vertices`.
+def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
+    """One LexBFS sweep over all of g, by partition refinement.
 
-    Ties inside the first label group break lexicographically on the first
-    sweep, and by latest position in the previous sweep afterwards (the
-    classic plus-rule). Groups keep their internal priority order across
-    splits, so the whole sweep is deterministic.
+    The unvisited vertices sit in a list of groups of equal LexBFS label,
+    best label first. The next pivot is the first vertex of the first
+    group, and each pivot splits every group stably, moving its neighbours
+    into a new group just before the rest. Ties break by a priority order:
+    label order on the first sweep, latest position in `prev` afterwards
+    (the classic plus-rule). Because every split is stable, each group lists
+    its members in priority order, so each adjacency list is sorted by
+    priority once and each pivot moves its unvisited neighbours in that
+    order, appending each to the front group split off its old group. A
+    pivot touches only its own adjacency list: O(n + m log n) per sweep.
     """
-    if prev is None:
-        groups = [sorted(vertices)]
-    else:
-        rank = {v: i for i, v in enumerate(prev)}
-        groups = [sorted(vertices, key=lambda v: -rank[v])]
+    order = list(g.vertices) if prev is None else list(reversed(prev))
+    rank = {v: i for i, v in enumerate(order)}
+    # vertices are their priority ranks from here on
+    adj = [sorted(rank[u] for u in g.neighbors(v)) for v in order]
+    n = len(order)
+    group_of = [0] * n  # group id per vertex, -1 once visited
+    # per group: members in priority order (stale entries of vertices that
+    # moved on are skipped lazily), first live index, live size, links
+    members: list[list[int]] = [list(range(n))]
+    head = [0]
+    size = [n]
+    before = [-1]
+    after = [-1]
+    first = 0 if n else -1
     out: list[str] = []
-    while groups:
-        head = groups[0]
-        v = head.pop(0)
-        if not head:
-            groups.pop(0)
-        out.append(v)
-        nv = g.neighbors(v)
-        split: list[list[str]] = []
-        for grp in groups:
-            ins = [x for x in grp if x in nv]
-            outs = [x for x in grp if x not in nv]
-            if ins:
-                split.append(ins)
-            if outs:
-                split.append(outs)
-        groups = split
+    while first >= 0:
+        grp = first
+        mem = members[grp]
+        i = head[grp]
+        while group_of[mem[i]] != grp:
+            i += 1
+        v = mem[i]
+        head[grp] = i + 1
+        group_of[v] = -1
+        out.append(order[v])
+        size[grp] -= 1
+        if not size[grp]:
+            first = after[grp]
+            if first >= 0:
+                before[first] = -1
+        split: dict[int, int] = {}  # old group -> its front part this pivot
+        for w in adj[v]:
+            old = group_of[w]
+            if old < 0:
+                continue
+            new = split.get(old)
+            if new is None:
+                new = split[old] = len(members)
+                members.append([])
+                head.append(0)
+                size.append(0)
+                prev_grp = before[old]
+                before.append(prev_grp)
+                after.append(old)
+                before[old] = new
+                if prev_grp >= 0:
+                    after[prev_grp] = new
+                else:
+                    first = new
+            members[new].append(w)
+            group_of[w] = new
+            size[new] += 1
+            size[old] -= 1
+            if not size[old]:
+                b, a = before[old], after[old]
+                after[b] = a  # old has its front part before it
+                if a >= 0:
+                    before[a] = b
     return out
 
 
 def candidate_order(g: Graph) -> tuple[str, ...]:
     """The ordering the recognition sweeps propose, unverified.
 
-    Three LexBFS sweeps per connected component (the last two with the
-    plus-rule); components are laid out consecutively in smallest-label
-    order. On a proper interval graph the result is an umbrella ordering;
-    on anything else it violates the umbrella property somewhere, which
-    makes it a useful counterexample carrier.
+    Three LexBFS sweeps of the whole graph, the last two with the plus-rule
+    (Corneil, "A simple 3-sweep LBFS algorithm for the recognition of unit
+    interval graphs", DAM 2004). A sweep finishes a component before it
+    leaves it; the first sweep enters the components in smallest-label
+    order and each plus-rule sweep reverses their order, so the third lays
+    them out consecutively in smallest-label order, each swept exactly as
+    on its own. On a proper interval graph the result is an umbrella
+    ordering; on anything else it violates the umbrella property somewhere,
+    which makes it a useful counterexample carrier. O(n + m log n).
     """
-    full: list[str] = []
-    for comp in g.connected_components():
-        vs = list(comp.vertices)
-        s1 = _lexbfs(comp, vs)
-        s2 = _lexbfs(comp, vs, prev=s1)
-        s3 = _lexbfs(comp, vs, prev=s2)
-        full.extend(s3)
-    return tuple(full)
+    s1 = _lexbfs(g)
+    s2 = _lexbfs(g, s1)
+    return tuple(_lexbfs(g, s2))
 
 
 def recognize(g: Graph) -> ProperIntervalOrdering | None:

@@ -10,6 +10,7 @@ perfect, and bipartite inputs respectively, and refuse anything else.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -524,27 +525,10 @@ def solve_trivially_perfect(g: Graph) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def two_coloring(g: Graph) -> dict[str, int] | None:
-    """A proper 2-coloring, or None when some component has an odd cycle."""
-    colors: dict[str, int] = {}
-    for v in g.vertices:
-        if v in colors:
-            continue
-        colors[v] = 0
-        queue = [v]
-        while queue:
-            x = queue.pop(0)
-            for y in sorted(g.neighbors(x)):
-                if y not in colors:
-                    colors[y] = 1 - colors[x]
-                    queue.append(y)
-                elif colors[y] == colors[x]:
-                    return None
-    return colors
-
-
-def find_odd_cycle(g: Graph) -> list[str] | None:
-    """Vertices of an odd cycle when the graph is not bipartite."""
+def _color_or_odd_cycle(g: Graph) -> dict[str, int] | list[str]:
+    """Breadth-first 2-coloring, components in label order and neighbours in
+    label order: the coloring, or at the first edge inside one color class
+    the vertices of an odd cycle through it."""
     colors: dict[str, int] = {}
     parent: dict[str, str | None] = {}
     for v in g.vertices:
@@ -552,16 +536,17 @@ def find_odd_cycle(g: Graph) -> list[str] | None:
             continue
         colors[v] = 0
         parent[v] = None
-        queue = [v]
+        queue = deque([v])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for y in sorted(g.neighbors(x)):
                 if y not in colors:
                     colors[y] = 1 - colors[x]
                     parent[y] = x
                     queue.append(y)
                 elif colors[y] == colors[x]:
-                    # walk both ancestries to the meeting point
+                    # same color means same BFS depth: walk both ancestries
+                    # to the meeting point
                     up_x, up_y = [x], [y]
                     ax, ay = x, y
                     while ax != ay:
@@ -569,27 +554,57 @@ def find_odd_cycle(g: Graph) -> list[str] | None:
                         ay = parent[ay]  # type: ignore[assignment]
                         up_x.append(ax)
                         up_y.append(ay)
-                    cycle = up_x + list(reversed(up_y[:-1]))
-                    return cycle
-    return None
+                    return up_x + list(reversed(up_y[:-1]))
+    return colors
+
+
+def two_coloring(g: Graph) -> dict[str, int] | None:
+    """A proper 2-coloring, or None when some component has an odd cycle."""
+    found = _color_or_odd_cycle(g)
+    return found if isinstance(found, dict) else None
+
+
+def find_odd_cycle(g: Graph) -> list[str] | None:
+    """Vertices of an odd cycle when the graph is not bipartite."""
+    found = _color_or_odd_cycle(g)
+    return found if isinstance(found, list) else None
 
 
 def maximum_matching(g: Graph, colors: dict[str, int]) -> frozenset[Edge]:
-    """Maximum matching of a 2-colored graph via augmenting paths."""
+    """Maximum matching of a 2-colored graph via augmenting paths.
+
+    Each color-0 vertex, in label order, runs one depth-first search for an
+    augmenting path that tries neighbours in label order and visits each
+    color-1 vertex at most once. The search keeps an explicit stack, so the
+    path length is not bounded by the interpreter's recursion limit.
+    """
     match: dict[str, str] = {}
-
-    def augment(u: str, seen: set[str]) -> bool:
-        for v in sorted(g.neighbors(u)):
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
-    for u in sorted(v for v in g.vertices if colors[v] == 0):
-        augment(u, set())
+    nbrs = {u: sorted(g.neighbors(u)) for u in g.vertices if colors[u] == 0}
+    for root in sorted(nbrs):
+        seen: set[str] = set()
+        # stack[i] = (color-0 vertex, its untried neighbours); path[i] is the
+        # matched neighbour stack[i] currently tries to take over
+        stack = [(root, iter(nbrs[root]))]
+        path: list[str] = []
+        while stack:
+            u, untried = stack[-1]
+            for v in untried:
+                if v in seen:
+                    continue
+                seen.add(v)
+                if v not in match:
+                    match[v] = u
+                    for (w, _), x in zip(stack, path):
+                        match[x] = w
+                    stack.clear()
+                    break
+                path.append(v)
+                stack.append((match[v], iter(nbrs[match[v]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
     return frozenset(canon_edge(u, v) for v, u in match.items())
 
 
@@ -622,7 +637,9 @@ def solve_bipartite(g: Graph) -> SolveResult:
 def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     """Pick a solver: trivially perfect (checked on the whole graph; the class
     is closed under disjoint union), then per component proper interval,
-    bipartite, and finally the brute-force oracle under its cap."""
+    bipartite, and finally the brute-force oracle under its cap. Each
+    component goes to the class solvers in that order and is classified
+    once, by the first solver that accepts it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
     if find_p4_or_c4(g) is None:
@@ -632,17 +649,21 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     tags: list[str] = []
     per_comp: dict[str, str] = {}
     for comp in g.connected_components():
-        if recognize(comp) is not None:
-            res = solve_pig_dp(comp)
-        elif two_coloring(comp) is not None:
-            res = solve_bipartite(comp)
-        elif comp.m <= oracle_cap:
-            res = solve_oracle(comp, cap=oracle_cap)
+        # each class solver recognizes its input once and refuses it with
+        # WrongClassError, so trying them in turn classifies the component
+        for route in (solve_pig_dp, solve_bipartite):
+            try:
+                res = route(comp)
+                break
+            except WrongClassError:
+                pass
         else:
-            raise UnsupportedInstanceError(
-                f"component with {comp.m} edges fits no class and exceeds the "
-                f"oracle cap {oracle_cap}"
-            )
+            if comp.m > oracle_cap:
+                raise UnsupportedInstanceError(
+                    f"component with {comp.m} edges fits no class and exceeds "
+                    f"the oracle cap {oracle_cap}"
+                )
+            res = solve_oracle(comp, cap=oracle_cap)
         strong |= res.labeling.strong
         tags.append(res.solver)
         per_comp[comp.vertices[0]] = res.solver

@@ -121,6 +121,26 @@ def random_bipartite(n: int, seed: int) -> Graph:
     return Graph(labels, cross)
 
 
+def random_sparse_bipartite(n: int, avg_degree: float, seed: int, connected: bool = False) -> Graph:
+    """Random bipartite graph with about n * avg_degree / 2 edges and
+    shuffled labels. With `connected`, every vertex but the first is first
+    tied to a random earlier vertex of the other side, a spanning tree."""
+    rng = random.Random(seed)
+    width = len(str(max(n - 1, 0)))
+    labels = [f"v{i:0{width}d}" for i in range(n)]
+    rng.shuffle(labels)
+    sides = (labels[0::2], labels[1::2])
+    edges = set()
+    if connected:
+        for i in range(1, n):
+            j = rng.randrange(1 - i % 2, i, 2)  # earlier, other side
+            edges.add(tuple(sorted((labels[i], labels[j]))))
+    target = min(round(n * avg_degree / 2), len(sides[0]) * len(sides[1]))
+    while len(edges) < target:
+        edges.add(tuple(sorted((rng.choice(sides[0]), rng.choice(sides[1])))))
+    return Graph(labels, edges)
+
+
 def planted_twin_graph(seed: int, max_total: int = 9) -> tuple[Graph, list[list[str]]]:
     """A graph built by blowing base vertices up into clique classes.
 
@@ -144,3 +164,153 @@ def planted_twin_graph(seed: int, max_total: int = 9) -> tuple[Graph, list[list[
         cu, cv = classes[base.index(u)], classes[base.index(v)]
         edges.extend((a, b) for a in cu for b in cv)
     return Graph(vertices, edges), classes
+
+
+def lexbfs_reference(g: Graph, vertices, prev=None) -> list[str]:
+    """One LexBFS sweep over `vertices` by rescanning every group for every
+    pivot, O(n^2): the sweep `stcsolve.ordering` used before partition
+    refinement.
+
+    Ties inside the first label group break lexicographically on the first
+    sweep, and by latest position in the previous sweep afterwards (the
+    plus-rule). Groups keep their internal priority order across splits.
+    """
+    if prev is None:
+        groups = [sorted(vertices)]
+    else:
+        rank = {v: i for i, v in enumerate(prev)}
+        groups = [sorted(vertices, key=lambda v: -rank[v])]
+    out = []
+    while groups:
+        head = groups[0]
+        v = head.pop(0)
+        if not head:
+            groups.pop(0)
+        out.append(v)
+        nv = g.neighbors(v)
+        split = []
+        for grp in groups:
+            ins = [x for x in grp if x in nv]
+            outs = [x for x in grp if x not in nv]
+            if ins:
+                split.append(ins)
+            if outs:
+                split.append(outs)
+        groups = split
+    return out
+
+
+def component_vertex_sets(g: Graph) -> list[list[str]]:
+    """Vertex sets of the connected components, each sorted, in order of
+    their smallest label."""
+    seen = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for y in g.neighbors(stack.pop()):
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def candidate_order_reference(g: Graph) -> tuple[str, ...]:
+    """Three reference sweeps (the last two plus-rule) of each component on
+    its own, components laid out in smallest-label order."""
+    full = []
+    for vs in component_vertex_sets(g):
+        comp = g.induced_subgraph(vs)
+        s1 = lexbfs_reference(comp, vs)
+        s2 = lexbfs_reference(comp, vs, prev=s1)
+        full.extend(lexbfs_reference(comp, vs, prev=s2))
+    return tuple(full)
+
+
+def matching_reference(g: Graph, colors) -> frozenset:
+    """Recursive augmenting-path matching: each color-0 vertex in label
+    order searches depth first, neighbours in label order, with one seen set
+    per search. Recursion depth grows with the augmenting path, so keep the
+    inputs small."""
+    match = {}
+
+    def augment(u, seen) -> bool:
+        for v in sorted(g.neighbors(u)):
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match or augment(match[v], seen):
+                match[v] = u
+                return True
+        return False
+
+    for u in sorted(v for v in g.vertices if colors[v] == 0):
+        augment(u, set())
+    return frozenset(tuple(sorted((u, v))) for v, u in match.items())
+
+
+def matching_size(g: Graph) -> int:
+    """Size of a maximum matching of a bipartite graph by Hopcroft-Karp
+    (SIAM J. Comput. 1973), written without recursion: alternate BFS layers
+    from the free left vertices and depth-first augmentation along them."""
+    side = {}
+    for start in g.vertices:
+        if start in side:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y not in side:
+                    side[y] = 1 - side[x]
+                    stack.append(y)
+    left = [v for v in g.vertices if side[v] == 0]
+    mate = {}
+    size = 0
+    while True:
+        dist = {u: 0 for u in left if u not in mate}
+        queue = list(dist)
+        found = False
+        for u in queue:
+            for v in g.neighbors(u):
+                w = mate.get(v)
+                if w is None:
+                    found = True
+                elif w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not found:
+            return size
+        done = set()
+        for root in left:
+            if root in mate or root in done:
+                continue
+            done.add(root)
+            stack = [(root, iter(g.neighbors(root)))]
+            chosen = []
+            while stack:
+                u, it = stack[-1]
+                for v in it:
+                    w = mate.get(v)
+                    if w is None:
+                        chosen.append(v)
+                        for (a, _), b in zip(stack, chosen):
+                            mate[a], mate[b] = b, a
+                        size += 1
+                        stack = []
+                        break
+                    if w not in done and dist.get(w) == dist[u] + 1:
+                        done.add(w)
+                        chosen.append(v)
+                        stack.append((w, iter(g.neighbors(w))))
+                        break
+                else:
+                    stack.pop()
+                    if chosen:
+                        chosen.pop()

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import component_vertex_sets, random_graph
 from stcsolve import Graph, canon_edge, contract_twins, twin_classes
 
 
@@ -59,6 +60,14 @@ def test_connected_components_order():
     g = Graph(["d", "c", "b", "a"], [("c", "d")])
     comps = g.connected_components()
     assert [c.vertices for c in comps] == [("a",), ("b",), ("c", "d")]
+
+
+def test_connected_components_match_induced_subgraphs():
+    for seed in range(40):
+        n = 5 + seed
+        g = random_graph(n, (seed * n) // 8, seed)
+        want = [g.induced_subgraph(vs) for vs in component_vertex_sets(g)]
+        assert g.connected_components() == want, f"seed={seed}"
 
 
 def test_equality_ignores_construction_order():

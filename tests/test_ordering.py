@@ -1,7 +1,22 @@
 import pytest
 
-from oracles import random_graph, umbrella_exists
-from stcsolve import Graph, candidate_order, recognize, reverse, verify_umbrella
+from oracles import (
+    candidate_order_reference,
+    lexbfs_reference,
+    random_graph,
+    random_sparse_bipartite,
+    umbrella_exists,
+)
+from stcsolve import (
+    Graph,
+    candidate_order,
+    gen_random_proper_interval,
+    gen_random_trivially_perfect,
+    recognize,
+    reverse,
+    verify_umbrella,
+)
+from stcsolve.ordering import _lexbfs
 
 
 def path(n):
@@ -110,3 +125,34 @@ def test_recognize_matches_search_on_seeded_graphs():
             g = random_graph(n, m, seed * 31 + n)
             got = recognize(g)
             assert (got is not None) == umbrella_exists(g), f"n={n} seed={seed}"
+
+
+def _sweep_inputs():
+    """Seeded PIGs, sparse bipartite graphs, TP graphs, odd cycles and
+    random graphs, connected or not, with shuffled labels where the
+    generator allows."""
+    for seed in range(25):
+        yield gen_random_proper_interval(5 + seed * 3, seed, (seed % 10) / 10)
+        yield random_sparse_bipartite(10 + seed * 4, 1.5 + seed % 3, seed, seed % 2 == 0)
+        yield gen_random_trivially_perfect(5 + seed * 2, seed)
+        k = 3 + 2 * seed
+        labels = [f"c{(i * 2) % k:02d}" for i in range(k)]
+        yield Graph(labels, [(labels[i], labels[(i + 1) % k]) for i in range(k)])
+        yield random_graph(8 + seed, 2 * seed, seed)
+
+
+def test_lexbfs_matches_group_rescanning_reference():
+    """Partition refinement reproduces the group-rescanning sweep it
+    replaced, for the plain sweep and for the plus-rule sweep."""
+    for g in _sweep_inputs():
+        vs = list(g.vertices)
+        s1 = _lexbfs(g)
+        assert s1 == lexbfs_reference(g, vs), g
+        assert _lexbfs(g, s1) == lexbfs_reference(g, vs, prev=s1), g
+
+
+def test_candidate_order_matches_per_component_reference():
+    """Sweeping the whole graph gives the per-component sweeps laid out in
+    smallest-label order."""
+    for g in _sweep_inputs():
+        assert candidate_order(g) == candidate_order_reference(g), g

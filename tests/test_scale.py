@@ -1,0 +1,30 @@
+"""Scale regressions: inputs that once crashed on the recursion limit or
+stalled in quadratic dispatch must finish, with exact values."""
+
+from oracles import matching_size, random_sparse_bipartite
+from stcsolve import Graph, solve_auto, solve_bipartite, validate_stc
+
+
+def test_auto_on_ten_thousand_vertex_sparse_bipartite():
+    g = random_sparse_bipartite(10_000, 4, seed=1, connected=True)
+    res = solve_auto(g)
+    assert res.solver == "bipartite-matching"
+    assert res.value == matching_size(g)
+    assert validate_stc(g, res.labeling) is None
+
+
+def test_auto_on_six_hundred_ten_cycles():
+    labels = [[f"c{j:03d}_{i}" for i in range(10)] for j in range(600)]
+    edges = [(c[i], c[(i + 1) % 10]) for c in labels for i in range(10)]
+    g = Graph([v for c in labels for v in c], edges)
+    res = solve_auto(g)
+    assert res.stats["components"] == 600
+    assert res.solver == "bipartite-matching"
+    assert res.value == 600 * 5
+
+
+def test_bipartite_on_three_thousand_vertex_path_in_path_order():
+    labels = [f"p{i:04d}" for i in range(3000)]
+    g = Graph(labels, list(zip(labels, labels[1:])))
+    res = solve_bipartite(g)
+    assert res.value == 1500

@@ -2,7 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from oracles import enumerate_optimum, planted_twin_graph, random_bipartite, random_graph
+from oracles import (
+    enumerate_optimum,
+    matching_reference,
+    planted_twin_graph,
+    random_bipartite,
+    random_graph,
+    random_sparse_bipartite,
+)
 from stcsolve import (
     Graph,
     OracleCapError,
@@ -191,6 +198,15 @@ def test_maximum_matching_path():
     colors = two_coloring(P4)
     matching = maximum_matching(P4, colors)
     assert len(matching) == 2
+
+
+def test_maximum_matching_matches_recursive_reference():
+    """The explicit-stack search picks the same matching as the recursive
+    augmenting-path search it replaced."""
+    for seed in range(60):
+        g = random_sparse_bipartite(20 + 3 * seed, 1 + seed % 4, seed, seed % 3 == 0)
+        colors = two_coloring(g)
+        assert maximum_matching(g, colors) == matching_reference(g, colors), seed
 
 
 def test_bipartite_frozen_values():
