@@ -50,7 +50,6 @@ from .reductions import (
 )
 from .solvers import (
     DEFAULT_ORACLE_CAP,
-    CographContradictionError,
     OracleCapError,
     SolveResult,
     UnsupportedInstanceError,
@@ -65,6 +64,7 @@ from .solvers import (
     solve_oracle,
     solve_pig_dp,
     solve_trivially_perfect,
+    trivially_perfect_forest,
     two_coloring,
 )
 
@@ -72,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificationReport",
-    "CographContradictionError",
     "ConflictPair",
     "DEFAULT_ORACLE_CAP",
     "Edge",
@@ -118,6 +117,7 @@ __all__ = [
     "solve_pig_dp",
     "solve_trivially_perfect",
     "split_assignment_optimum",
+    "trivially_perfect_forest",
     "twin_classes",
     "two_coloring",
     "validate_stc",

@@ -37,6 +37,7 @@ from .solvers import (
     solve_oracle,
     solve_pig_dp,
     solve_trivially_perfect,
+    trivially_perfect_forest,
     two_coloring,
 )
 
@@ -276,11 +277,10 @@ def _cmd_recognize(args) -> int:
             raise RuntimeError("recognition failed but the candidate verifies")
         print(f"proper-interval: no (umbrella violated: {' '.join(triple)})")
 
-    quad = find_p4_or_c4(g)
-    if quad is None:
+    if trivially_perfect_forest(g) is not None:
         print("trivially-perfect: yes")
     else:
-        kind, four = quad
+        kind, four = find_p4_or_c4(g)
         if _induced_quad_kind(g, four) != kind:
             raise RuntimeError("reported quadruple is not the claimed subgraph")
         print(f"trivially-perfect: no (induced {kind}: {' '.join(four)})")

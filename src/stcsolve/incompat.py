@@ -83,13 +83,20 @@ def validate_stc(g: Graph, lab: StrongWeakLabeling) -> tuple[str, str, str] | No
         raise ValueError("strong and weak overlap")
     if lab.strong | lab.weak != g.edges:
         raise ValueError("strong and weak do not cover the edge set")
-    strong_adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for u, v in sorted(lab.strong):
-        strong_adj[u].append(v)
-        strong_adj[v].append(u)
+    closed: dict[str, set[str]] = {}
+    for u, v in lab.strong:
+        closed.setdefault(u, {u}).add(v)
+        closed.setdefault(v, {v}).add(u)
+    # one check per distinct closed strong neighbourhood (a cluster shares one)
+    cliques: set[frozenset[str]] = set()
     for v in g.vertices:
-        ns = sorted(strong_adj[v])
-        for u, w in combinations(ns, 2):
+        c = frozenset(closed.get(v, ()))
+        if len(c) < 3 or c in cliques:  # a wedge needs two strong neighbours
+            continue
+        if all(len(g.neighbors(u) & c) == len(c) - 1 for u in c):
+            cliques.add(c)
+            continue
+        for u, w in combinations(sorted(c - {v}), 2):
             if not g.has_edge(u, w):
                 return (u, v, w)
     return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,14 +39,6 @@ class UnsupportedInstanceError(ValueError):
 
 class OracleCapError(UnsupportedInstanceError):
     """The conflict graph exceeds the brute-force node cap."""
-
-
-class CographContradictionError(RuntimeError):
-    """The conflict graph of a trivially perfect input failed to decompose.
-
-    This cannot happen when the rest of the pipeline is correct, so it is
-    surfaced loudly instead of being worked around.
-    """
 
 
 @dataclass(frozen=True)
@@ -406,7 +399,7 @@ def solve_pig_dp(g: Graph) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# trivially perfect graphs: the conflict graph is a cograph
+# trivially perfect graphs: chains of a rooted forest
 # ---------------------------------------------------------------------------
 
 
@@ -414,109 +407,109 @@ def find_p4_or_c4(g: Graph) -> tuple[str, tuple[str, str, str, str]] | None:
     """First induced P4 or C4 (as ("P4"|"C4", (a, b, c, d)) along the path),
     or None. Scans middles: an edge bc with a in N(b)-N[c] and d in N(c)-N[b]
     always yields one of the two patterns on {a, b, c, d}."""
-    for b, c in sorted(g.edges):
-        nb, nc = g.neighbors(b), g.neighbors(c)
-        left = sorted(nb - nc - {c})
-        right = sorted(nc - nb - {b})
-        for a in left:
-            for d in right:
-                if a == d:
-                    continue
-                kind = "C4" if g.has_edge(a, d) else "P4"
-                return (kind, (a, b, c, d))
+    for b in g.vertices:  # edges in sorted order, without sorting them all
+        nb = g.neighbors(b)
+        for c in sorted(x for x in nb if x > b):
+            nc = g.neighbors(c)
+            left = sorted(nb - nc - {c})
+            right = sorted(nc - nb - {b})
+            for a in left:
+                for d in right:
+                    if a == d:
+                        continue
+                    kind = "C4" if g.has_edge(a, d) else "P4"
+                    return (kind, (a, b, c, d))
     return None
 
 
-def _components_of(nodes: list, adj: dict) -> list[list]:
-    seen = set()
-    comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y in comp or y not in nodes:
-                    continue
-                comp.add(y)
-                queue.append(y)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
+def trivially_perfect_forest(g: Graph) -> dict[str, str | None] | None:
+    """Parent map (None at roots) of a rooted forest whose comparability
+    graph is g, listing every parent before its children, or None when g is
+    not trivially perfect.
 
-
-def _cograph_mwis(h: IncompatGraph) -> tuple[int, frozenset[Edge]]:
-    """Maximum weighted independent set of a cograph by modular recursion:
-    sum over components, maximum over join parts. Raises
-    CographContradictionError on a subgraph that is neither."""
-    adj = h.adjacency()
-
-    def rec(nodes: list[Edge]) -> tuple[int, frozenset[Edge]]:
-        if len(nodes) == 1:
-            return h.node_weight[nodes[0]], frozenset(nodes)
-        nodeset = set(nodes)
-        comps = _components_of(nodeset, adj)
-        if len(comps) > 1:
-            val = 0
-            out: set[Edge] = set()
-            for comp in comps:
-                v, s = rec(comp)
-                val += v
-                out |= s
-            return val, frozenset(out)
-        # connected: split along the complement
-        co_adj = {
-            x: (nodeset - adj[x]) - {x}
-            for x in nodes
-        }
-        cocomps = _components_of(nodeset, co_adj)
-        if len(cocomps) == 1:
-            raise CographContradictionError(
-                "conflict graph is not a cograph; the trivially-perfect "
-                "pipeline guarantee is broken"
-            )
-        best: tuple[int, frozenset[Edge]] | None = None
-        for part in cocomps:
-            v, s = rec(part)
-            if best is None or v > best[0]:
-                best = (v, s)
-        assert best is not None
-        return best
-
-    if not h.nodes:
-        return 0, frozenset()
-    return rec(sorted(h.nodes))
+    Adjacent vertices of a trivially perfect graph have nested closed
+    neighbourhoods (a vertex outside each would close an induced P4 or C4),
+    so in the order by (-degree, label) each vertex's earlier neighbours
+    must be its parent p, the deepest of them, plus p's ancestors. Every edge
+    joins a vertex to an earlier neighbour, so a full pass proves g the
+    comparability graph of the forest (Golumbic, "Trivially perfect
+    graphs", Discrete Math 1978): O(n + m) after the sort, and it stops at
+    the first vertex that fails.
+    """
+    parent: dict[str, str | None] = {}
+    depth: dict[str, int] = {}  # also marks the vertices already placed
+    for v in sorted(g.vertices, key=g.degree, reverse=True):  # stable: ties by label
+        nv = g.neighbors(v)
+        earlier = [u for u in nv if u in depth]
+        a = p = max(earlier, key=depth.__getitem__, default=None)
+        for _ in earlier:  # p's chain must be the earlier neighbours, no more
+            if a not in nv:  # also when the chain ends too soon (a is None)
+                return None
+            a = parent[a]
+        if a is not None:
+            return None
+        parent[v] = p
+        depth[v] = len(earlier)
+    return parent
 
 
 def solve_trivially_perfect(g: Graph) -> SolveResult:
-    """Polynomial solve for trivially perfect ((P4, C4)-free) graphs."""
+    """Polynomial solve for trivially perfect ((P4, C4)-free) graphs.
+
+    On the forest of the twin-contracted graph (trivially_perfect_forest),
+    a vertex's strong neighbours form a clique exactly when its strong
+    descendants lie on one downward path. Counting each strong edge at its
+    upper end, v contributes w(v) times the weight of its strong
+    descendants, at most w(v) * (best(v) - w(v)) with best(v) the heaviest
+    chain down from v. Cutting the forest into long paths, each vertex
+    continuing its chain into the child of largest best, meets every bound
+    at once. The chains are cliques, so this is the greedy peeling of
+    maximum cliques that solves cluster deletion on cographs (Gao, Hare &
+    Nastos, Discrete Math 2013), and here MaxSTC equals cluster deletion.
+    Ties go to the child whose subtree holds the smallest label: the
+    optimum that the conflict graph's cograph MWIS picks, taking the join
+    part with the smallest edge.
+    """
     if not g.is_unit_weight():
         raise ValueError("solve_trivially_perfect expects a unit-weight graph")
-    found = find_p4_or_c4(g)
-    if found is not None:
-        kind, quad = found
+    if trivially_perfect_forest(g) is None:
+        kind, quad = find_p4_or_c4(g)
         raise WrongClassError(f"not trivially perfect: induced {kind} on {quad}")
     t0 = time.perf_counter()
     cg, tp, intra = contract_twins(g)
-    h = build_incompat(cg)
-    value_c, sset = _cograph_mwis(h)
-    lab_c = labeling_from_independent_set(cg, h, sset)
-    lab = expand_labeling(g, tp, lab_c, intra)
+    parent = trivially_perfect_forest(cg)
+    if parent is None:
+        raise RuntimeError("twin contraction left the trivially perfect class")
+    w = cg.weights
+    best: dict[str, int] = {}
+    low = {v: v for v in parent}  # smallest label in the subtree
+    pick: dict[str, str] = {}  # the child each chain continues into
+    for v in reversed(parent):
+        best[v] = w[v] + (best[pick[v]] if v in pick else 0)
+        p = parent[v]
+        if p is not None:
+            low[p] = min(low[p], low[v])
+            q = pick.get(p)
+            if q is None or (-best[v], low[v]) < (-best[q], low[q]):
+                pick[p] = v
+    above: dict[str, list[str]] = {}  # the members of v's chain above v
+    for v, p in parent.items():
+        above[v] = above[p] + [p] if pick.get(p) == v else []
+    strong_c = {canon_edge(a, v) for v in parent for a in above[v]}
+    lab = expand_labeling(g, tp, StrongWeakLabeling.from_strong(cg, strong_c), intra)
     stats = {
         "contracted_n": cg.n,
-        "conflict_nodes": len(h.nodes),
+        "conflict_nodes": cg.m,
         "intra_twin_value": intra,
         "time_ms": (time.perf_counter() - t0) * 1000.0,
     }
     cert = {
-        "independent_set": sorted(sset),
+        "independent_set": sorted(strong_c),
         "intra_twin_value": intra,
         "twin_classes": [sorted(c) for c in tp.classes],
     }
     result = _finish(g, lab.strong, "trivially-perfect", stats, cert)
-    assert result.value == value_c + intra
+    assert result.value == sum(w[v] * (best[v] - w[v]) for v in parent) + intra
     return result
 
 
@@ -642,7 +635,7 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     once, by the first solver that accepts it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
-    if find_p4_or_c4(g) is None:
+    with suppress(WrongClassError):
         return solve_trivially_perfect(g)
     t0 = time.perf_counter()
     strong: set[Edge] = set()

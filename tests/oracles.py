@@ -9,7 +9,7 @@ None of it shares code with the package.
 import random
 from itertools import combinations
 
-from stcsolve import Graph
+from stcsolve import Graph, build_incompat, contract_twins
 
 
 def strong_set_valid(g: Graph, strong) -> bool:
@@ -314,3 +314,151 @@ def matching_size(g: Graph) -> int:
                     stack.pop()
                     if chosen:
                         chosen.pop()
+
+
+def _components_of(nodes, adj) -> list[list]:
+    seen = set()
+    comps = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if y in comp or y not in nodes:
+                    continue
+                comp.add(y)
+                queue.append(y)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def cograph_mwis_reference(h) -> tuple[int, frozenset]:
+    """Maximum weighted independent set of a cograph by modular recursion:
+    sum over components, maximum over join parts (the first part, in order
+    of smallest node, on ties). The trivially perfect solver used this on
+    the conflict graph before it moved to the forest model. Raises
+    ValueError on a subgraph that is neither a union nor a join."""
+    adj = h.adjacency()
+
+    def rec(nodes):
+        if len(nodes) == 1:
+            return h.node_weight[nodes[0]], frozenset(nodes)
+        nodeset = set(nodes)
+        comps = _components_of(nodeset, adj)
+        if len(comps) > 1:
+            val = 0
+            out = set()
+            for comp in comps:
+                v, s = rec(comp)
+                val += v
+                out |= s
+            return val, frozenset(out)
+        co_adj = {x: (nodeset - adj[x]) - {x} for x in nodes}
+        cocomps = _components_of(nodeset, co_adj)
+        if len(cocomps) == 1:
+            raise ValueError("conflict graph is not a cograph")
+        best = None
+        for part in cocomps:
+            v, s = rec(part)
+            if best is None or v > best[0]:
+                best = (v, s)
+        return best
+
+    if not h.nodes:
+        return 0, frozenset()
+    return rec(sorted(h.nodes))
+
+
+def tp_strong_reference(g: Graph) -> frozenset:
+    """Strong set the conflict-graph route picks on a trivially perfect
+    graph: contract true twins, take the cograph MWIS of the contracted
+    conflict graph, and make it and every intra-twin edge strong."""
+    cg, tp, _intra = contract_twins(g)
+    _value, sset = cograph_mwis_reference(build_incompat(cg))
+    rep = tp.rep_of()
+    return frozenset(
+        (u, v) for u, v in g.edges
+        if rep[u] == rep[v] or tuple(sorted((rep[u], rep[v]))) in sset
+    )
+
+
+def forest_graph(labels, parent) -> Graph:
+    """Comparability graph of a rooted forest given by a parent array over
+    indices (None at roots, parents before children): every vertex is
+    adjacent to all its ancestors."""
+    anc = []
+    edges = []
+    for i, p in enumerate(parent):
+        anc.append([] if p is None else anc[p] + [p])
+        edges.extend((labels[a], labels[i]) for a in anc[i])
+    return Graph(labels, edges)
+
+
+def long_path_value(parent) -> int:
+    """MaxSTC optimum of the comparability graph of a rooted forest (parent
+    array as in forest_graph): every vertex keeps strong the edges to the
+    longest downward path below it, so the optimum is the sum of heights."""
+    height = [0] * len(parent)
+    for i in range(len(parent) - 1, -1, -1):
+        p = parent[i]
+        if p is not None:
+            height[p] = max(height[p], height[i] + 1)
+    return sum(height)
+
+
+def random_forest_parents(n: int, seed: int, roots: int = 1) -> list:
+    """Random parent array: the first `roots` vertices are roots, every
+    later one hangs under a uniformly chosen earlier vertex."""
+    rng = random.Random(seed)
+    return [None if i < roots else rng.randrange(i) for i in range(n)]
+
+
+def threshold_graph(n: int, seed: int) -> tuple[Graph, list]:
+    """Random threshold graph with shuffled labels, plus the parent array of
+    its forest. Vertices are added one at a time, each either isolated or
+    dominating (adjacent to every earlier one); in the forest each vertex
+    hangs under the earliest dominating vertex added after it, and the
+    array lists vertices in reverse order of addition."""
+    rng = random.Random(seed)
+    labels = [f"h{i:0{len(str(n))}d}" for i in range(n)]
+    rng.shuffle(labels)
+    dominating = [rng.random() < 0.5 for _ in range(n)]
+    edges = [(labels[j], labels[i]) for i in range(n) if dominating[i] for j in range(i)]
+    parent = []
+    following = None
+    for i in range(n - 1, -1, -1):
+        parent.append(None if following is None else n - 1 - following)
+        if dominating[i]:
+            following = i
+    return Graph(labels, edges), parent
+
+
+def first_open_wedge_reference(g: Graph, strong) -> tuple | None:
+    """First open strong wedge (u, v, w) by scanning every vertex v in label
+    order and every pair of its strong neighbours in label order; None when
+    the strong set is valid."""
+    nbrs = {v: [] for v in g.vertices}
+    for u, v in strong:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for v in g.vertices:
+        for u, w in combinations(sorted(nbrs[v]), 2):
+            if not g.has_edge(u, w):
+                return (u, v, w)
+    return None
+
+
+def p4_or_c4_reference(g: Graph):
+    """First induced P4 or C4 over all edges bc sorted up front: a in
+    N(b)-N[c] and d in N(c)-N[b], both in label order."""
+    for b, c in sorted(g.edges):
+        nb, nc = g.neighbors(b), g.neighbors(c)
+        for a in sorted(nb - nc - {c}):
+            for d in sorted(nc - nb - {b}):
+                if a != d:
+                    return ("C4" if g.has_edge(a, d) else "P4", (a, b, c, d))
+    return None

@@ -1,8 +1,9 @@
+import random
 from itertools import combinations
 
 import pytest
 
-from oracles import strong_set_valid
+from oracles import first_open_wedge_reference, random_graph, strong_set_valid
 from stcsolve import (
     Graph,
     StrongWeakLabeling,
@@ -146,3 +147,16 @@ def test_expand_labeling_rejects_wrong_intra():
     lab_c = StrongWeakLabeling.from_strong(cg, frozenset())
     with pytest.raises(ValueError):
         expand_labeling(g, tp, lab_c, intra + 1)
+
+
+def test_validate_stc_witness_matches_pair_scan():
+    """Checking each distinct closed strong neighbourhood once by set
+    inclusion reports the same first wedge as a scan of every strong pair."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = 4 + seed % 9
+        g = random_graph(n, rng.randint(n, n * (n - 1) // 2), seed)
+        edges = sorted(g.edges)
+        strong = [e for e in edges if rng.random() < 0.2 + 0.1 * (seed % 7)]
+        lab = StrongWeakLabeling.from_strong(g, strong)
+        assert validate_stc(g, lab) == first_open_wedge_reference(g, strong), seed

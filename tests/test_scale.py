@@ -1,7 +1,16 @@
 """Scale regressions: inputs that once crashed on the recursion limit or
 stalled in quadratic dispatch must finish, with exact values."""
 
-from oracles import matching_size, random_sparse_bipartite
+import random
+
+from oracles import (
+    forest_graph,
+    long_path_value,
+    matching_size,
+    random_forest_parents,
+    random_sparse_bipartite,
+    threshold_graph,
+)
 from stcsolve import Graph, solve_auto, solve_bipartite, validate_stc
 
 
@@ -28,3 +37,23 @@ def test_bipartite_on_three_thousand_vertex_path_in_path_order():
     g = Graph(labels, list(zip(labels, labels[1:])))
     res = solve_bipartite(g)
     assert res.value == 1500
+
+
+def test_auto_on_thousand_vertex_threshold_graph():
+    g, parent = threshold_graph(1000, seed=1)
+    res = solve_auto(g)
+    assert res.solver == "trivially-perfect"
+    assert res.value == long_path_value(parent)
+    assert validate_stc(g, res.labeling) is None
+
+
+def test_auto_on_ten_thousand_vertex_trivially_perfect_forest():
+    n = 10_000
+    parent = random_forest_parents(n, seed=1, roots=3)
+    labels = [f"f{i:05d}" for i in range(n)]
+    random.Random(1).shuffle(labels)
+    g = forest_graph(labels, parent)
+    res = solve_auto(g)
+    assert res.solver == "trivially-perfect"
+    assert res.value == long_path_value(parent)
+    assert validate_stc(g, res.labeling) is None

@@ -1,14 +1,20 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from oracles import (
     enumerate_optimum,
+    forest_graph,
     matching_reference,
+    p4_or_c4_reference,
     planted_twin_graph,
     random_bipartite,
+    random_forest_parents,
     random_graph,
     random_sparse_bipartite,
+    threshold_graph,
+    tp_strong_reference,
 )
 from stcsolve import (
     Graph,
@@ -19,6 +25,7 @@ from stcsolve import (
     build_incompat,
     find_odd_cycle,
     find_p4_or_c4,
+    gen_random_trivially_perfect,
     maximum_matching,
     recognize,
     reverse,
@@ -27,6 +34,7 @@ from stcsolve import (
     solve_oracle,
     solve_pig_dp,
     solve_trivially_perfect,
+    trivially_perfect_forest,
     two_coloring,
     validate_stc,
     verify_umbrella,
@@ -299,3 +307,57 @@ def test_auto_agrees_with_oracle_on_random_graphs():
         g = random_graph(n, m, seed=seed * 7 + 1)
         auto = solve_auto(g)
         assert auto.value == solve_oracle(g, force=True).value, f"seed={seed}"
+
+
+def _tp_sweep():
+    """Seeded trivially perfect graphs: random cographs from the class
+    definition, threshold graphs, stars, and rooted forests with shuffled
+    labels, whose one-child vertices are true twins of their child."""
+    for seed in range(300):
+        yield gen_random_trivially_perfect(4 + seed % 11, seed=seed)
+        yield threshold_graph(3 + seed % 12, seed)[0]
+        n = 3 + seed % 12
+        labels = [f"f{i:02d}" for i in range(n)]
+        random.Random(seed).shuffle(labels)
+        yield forest_graph(labels, random_forest_parents(n, seed, roots=1 + seed % 3))
+    for k in range(1, 12):
+        yield Graph(["c"] + [f"l{i}" for i in range(k)], [("c", f"l{i}") for i in range(k)])
+
+
+def test_trivially_perfect_strong_sets_match_cograph_mwis_reference():
+    """The forest chains pick exactly the strong set of the conflict-graph
+    route they replaced, not only its value."""
+    for i, g in enumerate(_tp_sweep()):
+        assert solve_trivially_perfect(g).labeling.strong == tp_strong_reference(g), i
+
+
+def _forest_check_agrees(g: Graph) -> None:
+    parent = trivially_perfect_forest(g)
+    assert find_p4_or_c4(g) == p4_or_c4_reference(g)
+    assert (parent is None) == (find_p4_or_c4(g) is not None)
+    if parent is not None:
+        order = list(parent)
+        assert sorted(order) == list(g.vertices)
+        assert all(p is None or order.index(p) < order.index(v) for v, p in parent.items())
+        assert forest_graph(order, [None if p is None else order.index(p)
+                                    for p in parent.values()]).edges == g.edges
+
+
+def test_forest_check_agrees_with_p4_c4_scan_on_all_five_vertex_graphs():
+    labels = ["a", "b", "c", "d", "e"]
+    pairs = list(combinations(labels, 2))
+    for bits in range(1 << len(pairs)):
+        _forest_check_agrees(Graph(labels, [p for i, p in enumerate(pairs) if (bits >> i) & 1]))
+
+
+def test_forest_check_agrees_with_p4_c4_scan_seeded():
+    """Random graphs up to 9 vertices, and trivially perfect ones with one
+    edge toggled so that both answers occur often."""
+    for seed in range(1500):
+        rng = random.Random(seed)
+        n = 1 + seed % 9
+        _forest_check_agrees(random_graph(n, rng.randint(0, n * (n - 1) // 2), seed))
+        g = gen_random_trivially_perfect(max(n, 2), seed=seed)
+        u, v = rng.sample(list(g.vertices), 2)
+        toggled = g.edges ^ {tuple(sorted((u, v)))}
+        _forest_check_agrees(Graph(g.vertices, toggled))
