@@ -186,11 +186,13 @@ def contract_twins(g: Graph) -> tuple[Graph, TwinPartition, int]:
     contracted graph carries class sizes as vertex weights. Also returns the
     number of edges inside twin classes; those are always strong in an optimal
     labeling, so that count is added back when a contracted solution is
-    expanded.
+    expanded. A graph without twins comes back as itself.
     """
     if not g.is_unit_weight():
         raise ValueError("contract_twins expects a unit-weight graph")
     tp = twin_classes(g)
+    if len(tp.classes) == g.n:  # twin-free: contracting would copy g
+        return g, tp, 0
     rep = tp.rep_of()
     edges = {
         canon_edge(rep[u], rep[v]) for u, v in g.edges if rep[u] != rep[v]

@@ -13,7 +13,6 @@ import time
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .graph import Edge, Graph, canon_edge, contract_twins
 from .incompat import (
@@ -270,104 +269,67 @@ def solve_oracle(
 
 
 # ---------------------------------------------------------------------------
-# proper interval graphs: prefix-clique dynamic program
+# proper interval graphs: consecutive clique blocks
 # ---------------------------------------------------------------------------
 
 
-class DpState(NamedTuple):
-    """Positions are into the umbrella ordering of the contracted graph.
+def _clique_blocks(weights, right) -> tuple[int, list[tuple[int, int]]]:
+    """Heaviest partition of an umbrella ordering into consecutive cliques:
+    its weight and its blocks as half-open position ranges (i, k).
 
-    The active prefix {a..b} is a clique whose internal edges are committed
-    strong; no strong edge may leave the prefix for a position past r.
+    best[i] is the best weight of positions i..n-1; block i..k-1 is a clique
+    exactly when right[i] >= k - 1, so k runs from i + 1 to right[i] + 1 and
+    the scan costs O(n + m). Ties keep the smallest k.
     """
-
-    a: int
-    b: int
-    r: int
-
-
-def _pig_dp(order, weights, right) -> tuple[int, list[tuple[int, int]]]:
-    """Optimal strong-edge weight over an umbrella ordering, plus the chosen
-    strong pairs as position tuples.
-
-    Peeling the head of the prefix maximizes over how far the head's strong
-    edges extend (the consecutive-strong form: a head is strong to a prefix
-    of its right neighborhood). Closing a prefix at b == r commits all its
-    internal edges and restarts cleanly after it.
-    """
-    n = len(order)
+    n = len(weights)
     pref = [0] * (n + 1)
     prefsq = [0] * (n + 1)
     for i, w in enumerate(weights):
         pref[i + 1] = pref[i] + w
         prefsq[i + 1] = prefsq[i] + w * w
-
-    def head_edges(a: int, j: int) -> int:
-        return weights[a] * (pref[j + 1] - pref[a + 1])
-
-    def clique_value(a: int, b: int) -> int:
-        s = pref[b + 1] - pref[a]
-        sq = prefsq[b + 1] - prefsq[a]
-        return (s * s - sq) // 2
-
-    memo: dict[DpState, tuple[int, int | None]] = {}
-
-    def fresh(p: int) -> int:
-        if p >= n:
-            return 0
-        return solve(DpState(p, p, right[p]))
-
-    def solve(st: DpState) -> int:
-        got = memo.get(st)
-        if got is not None:
-            return got[0]
-        a, b, r = st
-        if b < r:
-            best = -1
-            bestj: int | None = None
-            for j in range(b, r + 1):
-                sub = fresh(a + 1) if j == a else solve(DpState(a + 1, j, r))
-                val = sub + head_edges(a, j)
-                if val > best:
-                    best, bestj = val, j
-            memo[st] = (best, bestj)
-        elif r < n - 1:
-            memo[st] = (fresh(r + 1) + clique_value(a, b), None)
-        else:
-            memo[st] = (clique_value(a, b), None)
-        return memo[st][0]
-
-    if n == 0:
-        return 0, []
-    total = fresh(0)
-
-    strong: list[tuple[int, int]] = []
-    st: DpState | None = DpState(0, 0, right[0])
-    while st is not None:
-        a, b, r = st
-        _, j = memo[st]
-        if b < r:
-            assert j is not None
-            strong.extend((a, t) for t in range(a + 1, j + 1))
-            if j == a:
-                st = DpState(a + 1, a + 1, right[a + 1]) if a + 1 < n else None
-            else:
-                st = DpState(a + 1, j, r)
-        else:
-            strong.extend(
-                (s, t) for s in range(a, b + 1) for t in range(s + 1, b + 1)
-            )
-            nxt = b + 1
-            st = DpState(nxt, nxt, right[nxt]) if nxt < n else None
-    return total, strong
+    best = [0] * (n + 1)
+    nxt = [n] * n
+    for i in range(n - 1, -1, -1):
+        top = -1
+        for k in range(i + 1, right[i] + 2):
+            s = pref[k] - pref[i]
+            val = (s * s - prefsq[k] + prefsq[i]) // 2 + best[k]
+            if val > top:
+                top, nxt[i] = val, k
+        best[i] = top
+    blocks = []
+    i = 0
+    while i < n:
+        blocks.append((i, nxt[i]))
+        i = nxt[i]
+    return best[0], blocks
 
 
 def solve_pig_dp(g: Graph) -> SolveResult:
     """Polynomial solve for proper interval graphs.
 
     Contract true twins, recognize an umbrella ordering of the contracted
-    graph, run the prefix-clique DP over it, then expand the contracted
-    labeling back to the input.
+    graph, cut the ordering into consecutive cliques of largest total
+    weight (_clique_blocks) and make every block a strong clique, then
+    expand the contracted labeling back to the input.
+
+    Why blocks suffice: some optimum of MaxSTC on a proper interval graph
+    is a partition into cliques, so MaxSTC is cluster deletion on this
+    class (Konstantinidis & Papadopoulos, "Maximizing the strong triadic
+    closure in split graphs and proper interval graphs"; Grüttemeier &
+    Komusiewicz, "On the relation of strong triadic closure and cluster
+    deletion", Algorithmica 2020). Some optimal clique partition is
+    consecutive in the umbrella ordering. Two blocks X, Y whose position
+    spans overlap, X's starting first, either nest (then X and Y lie in
+    X's span, a clique, and merging them gains w(X) w(Y)) or cross: X's
+    span [a, b] and Y's span [c, d] with a < c <= b < d are cliques, so
+    the members of X and Y inside [c, b] may join either side, and the
+    sum of the two block weights is convex in their weight on one side:
+    moving them all to one side loses nothing and leaves disjoint spans,
+    each inside its old one. Repeating this ends in consecutive blocks.
+    The recurrence tries every consecutive partition. Ties keep the
+    shortest first block; that rule fixes which optimum, and so which
+    output, a run returns.
     """
     if not g.is_unit_weight():
         raise ValueError("solve_pig_dp expects a unit-weight graph")
@@ -376,9 +338,14 @@ def solve_pig_dp(g: Graph) -> SolveResult:
     o = recognize(cg)
     if o is None:
         raise WrongClassError("not a proper interval graph")
-    wts = [cg.weights[v] for v in o.order]
-    value_c, strong_pos = _pig_dp(o.order, wts, o.right_reach)
-    strong_c = {canon_edge(o.order[s], o.order[t]) for s, t in strong_pos}
+    order = o.order
+    value_c, blocks = _clique_blocks([cg.weights[v] for v in order], o.right_reach)
+    strong_c = {
+        canon_edge(order[s], order[t])
+        for i, k in blocks
+        for s in range(i, k)
+        for t in range(s + 1, k)
+    }
     lab_c = StrongWeakLabeling.from_strong(cg, strong_c)
     lab = expand_labeling(g, tp, lab_c, intra)
     stats = {
@@ -388,7 +355,7 @@ def solve_pig_dp(g: Graph) -> SolveResult:
         "time_ms": (time.perf_counter() - t0) * 1000.0,
     }
     cert = {
-        "ordering": list(o.order),
+        "ordering": list(order),
         "contracted_strong": sorted(strong_c),
         "intra_twin_value": intra,
         "twin_classes": [sorted(c) for c in tp.classes],
@@ -666,4 +633,7 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         "component_solvers": per_comp,
         "time_ms": (time.perf_counter() - t0) * 1000.0,
     }
-    return _finish(g, strong, solver, stats, {"dispatch": per_comp})
+    # a wedge's three vertices lie in one component and each component's
+    # labeling passed validate_stc in its solver, so the union is valid
+    lab = StrongWeakLabeling.from_strong(g, strong)
+    return SolveResult(lab.value, lab, solver, stats, {"dispatch": per_comp})

@@ -8,8 +8,9 @@ None of it shares code with the package.
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
-from stcsolve import Graph, build_incompat, contract_twins
+from stcsolve import Graph, build_incompat, contract_twins, recognize
 
 
 def strong_set_valid(g: Graph, strong) -> bool:
@@ -462,3 +463,138 @@ def p4_or_c4_reference(g: Graph):
                 if a != d:
                     return ("C4" if g.has_edge(a, d) else "P4", (a, b, c, d))
     return None
+
+
+class DpState(NamedTuple):
+    """Positions are into the umbrella ordering of the contracted graph.
+
+    The active prefix {a..b} is a clique whose internal edges are committed
+    strong; no strong edge may leave the prefix for a position past r.
+    """
+
+    a: int
+    b: int
+    r: int
+
+
+def pig_dp_reference(order, weights, right) -> tuple[int, list[tuple[int, int]]]:
+    """The three-index DP solve_pig_dp ran before the clique-block DP.
+    Memoized recursion whose depth grows with n, so keep the inputs under
+    about 300 positions.
+
+    Optimal strong-edge weight over an umbrella ordering, plus the chosen
+    strong pairs as position tuples.
+
+    Peeling the head of the prefix maximizes over how far the head's strong
+    edges extend (the consecutive-strong form: a head is strong to a prefix
+    of its right neighborhood). Closing a prefix at b == r commits all its
+    internal edges and restarts cleanly after it.
+    """
+    n = len(order)
+    pref = [0] * (n + 1)
+    prefsq = [0] * (n + 1)
+    for i, w in enumerate(weights):
+        pref[i + 1] = pref[i] + w
+        prefsq[i + 1] = prefsq[i] + w * w
+
+    def head_edges(a: int, j: int) -> int:
+        return weights[a] * (pref[j + 1] - pref[a + 1])
+
+    def clique_value(a: int, b: int) -> int:
+        s = pref[b + 1] - pref[a]
+        sq = prefsq[b + 1] - prefsq[a]
+        return (s * s - sq) // 2
+
+    memo: dict[DpState, tuple[int, int | None]] = {}
+
+    def fresh(p: int) -> int:
+        if p >= n:
+            return 0
+        return solve(DpState(p, p, right[p]))
+
+    def solve(st: DpState) -> int:
+        got = memo.get(st)
+        if got is not None:
+            return got[0]
+        a, b, r = st
+        if b < r:
+            best = -1
+            bestj: int | None = None
+            for j in range(b, r + 1):
+                sub = fresh(a + 1) if j == a else solve(DpState(a + 1, j, r))
+                val = sub + head_edges(a, j)
+                if val > best:
+                    best, bestj = val, j
+            memo[st] = (best, bestj)
+        elif r < n - 1:
+            memo[st] = (fresh(r + 1) + clique_value(a, b), None)
+        else:
+            memo[st] = (clique_value(a, b), None)
+        return memo[st][0]
+
+    if n == 0:
+        return 0, []
+    total = fresh(0)
+
+    strong: list[tuple[int, int]] = []
+    st: DpState | None = DpState(0, 0, right[0])
+    while st is not None:
+        a, b, r = st
+        _, j = memo[st]
+        if b < r:
+            assert j is not None
+            strong.extend((a, t) for t in range(a + 1, j + 1))
+            if j == a:
+                st = DpState(a + 1, a + 1, right[a + 1]) if a + 1 < n else None
+            else:
+                st = DpState(a + 1, j, r)
+        else:
+            strong.extend(
+                (s, t) for s in range(a, b + 1) for t in range(s + 1, b + 1)
+            )
+            nxt = b + 1
+            st = DpState(nxt, nxt, right[nxt]) if nxt < n else None
+    return total, strong
+
+
+def pig_reference_value(g: Graph) -> int:
+    """MaxSTC optimum of a proper interval graph by the three-index DP,
+    one component at a time so the recursion stays as deep as the largest
+    component: contract twins, run the DP on the umbrella ordering, add the
+    intra-twin edges back."""
+    total = 0
+    for comp in g.connected_components():
+        cg, _tp, intra = contract_twins(comp)
+        o = recognize(cg)
+        value, _pairs = pig_dp_reference(o.order, [cg.weights[v] for v in o.order], o.right_reach)
+        total += value + intra
+    return total
+
+
+def unit_interval_edges(labels, lefts) -> list:
+    """Edges of the intersection graph of unit intervals starting at
+    `lefts`, by one sweep over the sorted starts: O(n + m)."""
+    ranked = sorted(zip(lefts, labels))
+    edges = []
+    for i, (x, u) in enumerate(ranked):
+        j = i + 1
+        while j < len(ranked) and ranked[j][0] - x <= 1.0:
+            edges.append((u, ranked[j][1]))
+            j += 1
+    return edges
+
+
+def random_proper_interval_union(total: int, seed: int) -> Graph:
+    """Disjoint union of small random unit interval graphs with `total`
+    vertices in all; component j's labels start with its own prefix."""
+    rng = random.Random(seed)
+    labels, edges = [], []
+    j = 0
+    while len(labels) < total:
+        size = min(rng.randint(3, 40), total - len(labels))
+        part = [f"q{j:04d}_{i:02d}" for i in range(size)]
+        spread = rng.uniform(0.1, 0.8) * size
+        edges.extend(unit_interval_edges(part, [rng.uniform(0.0, spread) for _ in part]))
+        labels.extend(part)
+        j += 1
+    return Graph(labels, edges)

@@ -131,6 +131,18 @@ def test_contract_twins_is_twin_free():
             assert len(tops) == 1, f"seed {seed} split a planted class"
 
 
+def test_contract_twins_of_twin_free_graph_is_the_graph():
+    cycle = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+    graphs = [cycle] + [random_graph(8, seed % 20, seed) for seed in range(60)]
+    for g in graphs:
+        if len(twin_classes(g).classes) < g.n:
+            continue
+        cg, tp, intra = contract_twins(g)
+        assert cg == g and intra == 0
+        assert cg is g  # returned as is, not rebuilt edge by edge
+        assert tp.representatives == g.vertices
+
+
 def test_contract_twins_rejects_weights():
     g = Graph(["a", "b"], [("a", "b")], weights={"a": 2})
     with pytest.raises(ValueError):

@@ -7,11 +7,13 @@ from oracles import (
     forest_graph,
     long_path_value,
     matching_size,
+    pig_reference_value,
     random_forest_parents,
+    random_proper_interval_union,
     random_sparse_bipartite,
     threshold_graph,
 )
-from stcsolve import Graph, solve_auto, solve_bipartite, validate_stc
+from stcsolve import Graph, solve_auto, solve_bipartite, solve_pig_dp, validate_stc
 
 
 def test_auto_on_ten_thousand_vertex_sparse_bipartite():
@@ -56,4 +58,19 @@ def test_auto_on_ten_thousand_vertex_trivially_perfect_forest():
     res = solve_auto(g)
     assert res.solver == "trivially-perfect"
     assert res.value == long_path_value(parent)
+    assert validate_stc(g, res.labeling) is None
+
+
+def test_auto_on_ten_thousand_vertex_path():
+    labels = [f"p{i:05d}" for i in range(10_000)]
+    g = Graph(labels, list(zip(labels, labels[1:])))
+    res = solve_auto(g)
+    assert res.solver == "pig-dp"
+    assert res.value == 5000
+
+
+def test_pig_dp_on_ten_thousand_vertex_union_of_proper_interval_graphs():
+    g = random_proper_interval_union(10_000, seed=1)
+    res = solve_pig_dp(g)
+    assert res.value == pig_reference_value(g)
     assert validate_stc(g, res.labeling) is None

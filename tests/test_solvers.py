@@ -8,6 +8,7 @@ from oracles import (
     forest_graph,
     matching_reference,
     p4_or_c4_reference,
+    pig_dp_reference,
     planted_twin_graph,
     random_bipartite,
     random_forest_parents,
@@ -23,8 +24,11 @@ from stcsolve import (
     WrongClassError,
     brute_mwis,
     build_incompat,
+    canon_edge,
+    contract_twins,
     find_odd_cycle,
     find_p4_or_c4,
+    gen_random_proper_interval,
     gen_random_trivially_perfect,
     maximum_matching,
     recognize,
@@ -361,3 +365,47 @@ def test_forest_check_agrees_with_p4_c4_scan_seeded():
         u, v = rng.sample(list(g.vertices), 2)
         toggled = g.edges ^ {tuple(sorted((u, v)))}
         _forest_check_agrees(Graph(g.vertices, toggled))
+
+
+def test_pig_dp_strong_sets_match_prefix_clique_reference():
+    """The clique-block DP picks exactly the strong set of the three-index
+    DP it replaced, not only its value, on weighted (twin-contracted)
+    orderings of up to 200 positions."""
+    for seed in range(1500):
+        g = gen_random_proper_interval(4 + seed * 37 % 200, seed=seed, density=0.2 + 0.05 * (seed % 15))
+        res = solve_pig_dp(g)
+        cg, _tp, intra = contract_twins(g)
+        order = res.certificate["ordering"]
+        pos = {v: i for i, v in enumerate(order)}
+        right = [max([i] + [pos[u] for u in cg.neighbors(v)]) for i, v in enumerate(order)]
+        value, pairs = pig_dp_reference(order, [cg.weights[v] for v in order], right)
+        assert res.value == value + intra, seed
+        assert res.certificate["contracted_strong"] == sorted(
+            canon_edge(order[s], order[t]) for s, t in pairs
+        ), seed
+
+
+def test_solve_auto_validates_each_component_once(monkeypatch):
+    """A triangle, a 4-cycle and a 5-cycle go to three different solvers;
+    each validates its own component and the union is not checked again."""
+    import stcsolve.solvers as solvers
+
+    calls = []
+
+    def counting(g, lab):
+        calls.append(g.n)
+        return validate_stc(g, lab)
+
+    monkeypatch.setattr(solvers, "validate_stc", counting)
+    g = Graph(
+        ["a", "b", "c"] + [f"d{i}" for i in range(4)] + [f"e{i}" for i in range(5)],
+        [("a", "b"), ("b", "c"), ("a", "c")]
+        + [(f"d{i}", f"d{(i + 1) % 4}") for i in range(4)]
+        + [(f"e{i}", f"e{(i + 1) % 5}") for i in range(5)],
+    )
+    res = solve_auto(g)
+    assert res.stats["component_solvers"] == {
+        "a": "pig-dp", "d0": "bipartite-matching", "e0": "oracle",
+    }
+    assert res.value == 3 + 2 + 2
+    assert sorted(calls) == [3, 4, 5]
