@@ -67,6 +67,7 @@ from .solvers import (
     trivially_perfect_forest,
     two_coloring,
 )
+from .split import find_split_obstruction, split_partition
 
 __version__ = "0.1.0"
 
@@ -98,6 +99,7 @@ __all__ = [
     "expand_labeling",
     "find_odd_cycle",
     "find_p4_or_c4",
+    "find_split_obstruction",
     "format_edge_list",
     "gen_disjointnn_from_3sp",
     "gen_maxstc_from_disjointnn",
@@ -117,6 +119,7 @@ __all__ = [
     "solve_pig_dp",
     "solve_trivially_perfect",
     "split_assignment_optimum",
+    "split_partition",
     "trivially_perfect_forest",
     "twin_classes",
     "two_coloring",

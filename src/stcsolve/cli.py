@@ -40,6 +40,7 @@ from .solvers import (
     trivially_perfect_forest,
     two_coloring,
 )
+from .split import find_split_obstruction, split_partition
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -49,10 +50,14 @@ EXIT_UNSUPPORTED = 4
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ParseError(f"{name} is not UTF-8 text: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -169,6 +174,8 @@ def _cmd_generate(args) -> int:
         if args.kind in ("pig", "tp"):
             if args.n is None:
                 raise ValueError(f"--n is required for kind {args.kind}")
+            if args.n < 0:
+                raise ValueError("--n must be non-negative")
             if args.kind == "pig":
                 g = gen_random_proper_interval(args.n, seed=args.seed, density=args.density)
             else:
@@ -204,59 +211,17 @@ def _induced_quad_kind(g: Graph, quad: tuple[str, str, str, str]) -> str | None:
     return None
 
 
-def _find_split_obstruction(g: Graph) -> tuple[str, tuple[str, ...]]:
-    """An induced 2K2, C4, or C5; one always exists in a non-split graph."""
-    for quad in combinations(g.vertices, 4):
-        pairs = [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
-        if len(pairs) == 2 and not (set(pairs[0]) & set(pairs[1])):
-            return "2K2", pairs[0] + pairs[1]
-        if len(pairs) == 4 and all(
-            sum(v in p for p in pairs) == 2 for v in quad
-        ):
-            a = quad[0]
-            p, q = sorted(v for v in quad if g.has_edge(a, v))
-            (r,) = [v for v in quad if v not in (a, p, q)]
-            return "C4", (a, p, r, q)
-    for five in combinations(g.vertices, 5):
-        pairs = [(u, v) for u, v in combinations(five, 2) if g.has_edge(u, v)]
-        if len(pairs) == 5 and all(sum(v in p for p in pairs) == 2 for v in five):
-            cycle = [five[0]]
-            prev = None
-            while len(cycle) < 5:
-                nxt = min(
-                    v
-                    for v in five
-                    if v != prev and v != cycle[-1] and g.has_edge(cycle[-1], v)
-                )
-                prev = cycle[-1]
-                cycle.append(nxt)
-            return "C5", tuple(cycle)
-    raise RuntimeError("no split obstruction found in a non-split graph")
-
-
-def _split_partition(g: Graph) -> tuple[list[str], list[str]] | None:
-    """Split partition via the degree-sequence threshold, or None.
-
-    The vertices are sorted by degree; the graph is split exactly when the
-    top block's degree sum matches a full clique plus all edges into the
-    rest, and in that case the block itself is the clique side.
-    """
-    vs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in vs]
-    m = 0
-    for i, d in enumerate(degs, start=1):
-        if d >= i - 1:
-            m = i
-    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
-        return None
-    clique, rest = vs[:m], vs[m:]
-    for u, v in combinations(clique, 2):
-        if not g.has_edge(u, v):
-            raise RuntimeError("degree test asserted a clique that is not one")
-    for u, v in combinations(rest, 2):
-        if g.has_edge(u, v):
-            raise RuntimeError("degree test asserted independence that fails")
-    return clique, rest
+def _split_witness_holds(g: Graph, kind: str, verts: tuple[str, ...]) -> bool:
+    """Whether verts induce exactly the claimed 2K2 (two edges, as listed),
+    C4 or C5 (along the cycle)."""
+    k = len(verts)
+    if k != {"2K2": 4, "C4": 4, "C5": 5}.get(kind) or len(set(verts)) != k:
+        return False
+    for i, j in combinations(range(k), 2):
+        edge = (i, j) in ((0, 1), (2, 3)) if kind == "2K2" else j - i in (1, k - 1)
+        if g.has_edge(verts[i], verts[j]) != edge:
+            return False
+    return True
 
 
 def _cmd_recognize(args) -> int:
@@ -306,12 +271,14 @@ def _cmd_recognize(args) -> int:
             raise RuntimeError("odd-cycle witness does not check out")
         print(f"bipartite: no (odd cycle: {' '.join(cycle)})")
 
-    split = _split_partition(g)
+    split = split_partition(g)
     if split is not None:
         clique, rest = split
         print(f"split: yes (clique: {' '.join(clique)} | independent: {' '.join(rest)})")
     else:
-        kind, verts = _find_split_obstruction(g)
+        kind, verts = find_split_obstruction(g)
+        if not _split_witness_holds(g, kind, verts):
+            raise RuntimeError("split obstruction is not the claimed subgraph")
         print(f"split: no (induced {kind}: {' '.join(verts)})")
     return EXIT_OK
 

@@ -598,3 +598,66 @@ def random_proper_interval_union(total: int, seed: int) -> Graph:
         labels.extend(part)
         j += 1
     return Graph(labels, edges)
+
+
+def split_obstruction_reference(g: Graph) -> tuple[str, tuple[str, ...]]:
+    """An induced 2K2, C4, or C5; one always exists in a non-split graph."""
+    for quad in combinations(g.vertices, 4):
+        pairs = [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
+        if len(pairs) == 2 and not (set(pairs[0]) & set(pairs[1])):
+            return "2K2", pairs[0] + pairs[1]
+        if len(pairs) == 4 and all(
+            sum(v in p for p in pairs) == 2 for v in quad
+        ):
+            a = quad[0]
+            p, q = sorted(v for v in quad if g.has_edge(a, v))
+            (r,) = [v for v in quad if v not in (a, p, q)]
+            return "C4", (a, p, r, q)
+    for five in combinations(g.vertices, 5):
+        pairs = [(u, v) for u, v in combinations(five, 2) if g.has_edge(u, v)]
+        if len(pairs) == 5 and all(sum(v in p for p in pairs) == 2 for v in five):
+            cycle = [five[0]]
+            prev = None
+            while len(cycle) < 5:
+                nxt = min(
+                    v
+                    for v in five
+                    if v != prev and v != cycle[-1] and g.has_edge(cycle[-1], v)
+                )
+                prev = cycle[-1]
+                cycle.append(nxt)
+            return "C5", tuple(cycle)
+    raise RuntimeError("no split obstruction found in a non-split graph")
+
+
+def random_graph_isolated_first(n: int, seed: int) -> Graph:
+    """A random graph on n vertices whose 0 to 3 isolated vertices carry
+    the smallest labels, so a scan in label order meets them first."""
+    rng = random.Random(seed)
+    k = rng.randint(0, min(3, n))
+    labels = [f"v{i:02d}" for i in range(n)]
+    density = rng.uniform(0.2, 0.8)
+    edges = [(u, v) for u, v in combinations(labels[k:], 2) if rng.random() < density]
+    return Graph(labels, edges)
+
+
+def random_pseudo_split(seed: int, max_clique: int = 4, max_independent: int = 4) -> Graph:
+    """A C5 complete to a clique and anticomplete to an independent set
+    whose vertices see random clique vertices; the C5 labels sort last."""
+    rng = random.Random(seed)
+    clique = [f"c{i}" for i in range(rng.randint(0, max_clique))]
+    indep = [f"s{i}" for i in range(rng.randint(0, max_independent))]
+    cycle = [f"z{i}" for i in range(5)]
+    rng.shuffle(cycle)
+    edges = [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)]
+    edges += list(combinations(clique, 2))
+    edges += [(u, z) for u in clique for z in cycle]
+    edges += [(s, u) for s in indep for u in clique if rng.random() < 0.5]
+    return Graph(clique + indep + cycle, edges)
+
+
+def edge_toggles(g: Graph):
+    """Every graph one vertex pair away from g: one edge removed or added."""
+    for u, v in combinations(g.vertices, 2):
+        edges = set(g.edges) ^ {(u, v)}
+        yield Graph(g.vertices, edges)

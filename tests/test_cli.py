@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from stcsolve import (
     Graph,
     SetPackingInstance,
@@ -235,3 +237,55 @@ def test_incompat_output(tmp_path, capsys):
     g = parse_edge_list(out)
     assert g.n == len(h.nodes)
     assert g.m == len(h.conflicts)
+
+
+def write_bytes(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return str(p)
+
+
+NOT_UTF8 = b"a b\n\xff c\n"
+
+
+def assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "recognize", "incompat"])
+def test_non_utf8_input_exits_two(tmp_path, capsys, command):
+    gpath = write_bytes(tmp_path, "g.txt", NOT_UTF8)
+    assert_input_error(*run(capsys, command, gpath))
+
+
+def test_verify_rejects_non_utf8_graph_and_labeling(tmp_path, capsys):
+    bad = write_bytes(tmp_path, "bad.txt", NOT_UTF8)
+    gpath = write(tmp_path, "g.txt", P3)
+    lpath = write(tmp_path, "lab.json", json.dumps({"strong": [], "weak": []}))
+    for argv in ((bad, lpath), (gpath, bad)):
+        assert_input_error(*run(capsys, "verify", *argv))
+
+
+def test_generate_rejects_negative_size(capsys):
+    for kind in ("pig", "tp"):
+        code, out, err = run(capsys, "generate", kind, "--n", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: --n must be non-negative\n"
+        code, out, _ = run(capsys, "generate", kind, "--n", "0")
+        assert code == 0 and out == ""
+
+
+def test_recognize_checks_the_split_witness(tmp_path, capsys, monkeypatch):
+    gpath = write(tmp_path, "g.txt", C4)
+    monkeypatch.setattr(cli, "find_split_obstruction", lambda g: ("2K2", ("a", "b", "c", "d")))
+    with pytest.raises(RuntimeError, match="split obstruction"):
+        cli.main(["recognize", gpath])
+    for forged in (("C4", ("a", "c", "b", "d")), ("C5", ("a", "b", "c", "d"))):
+        monkeypatch.setattr(cli, "find_split_obstruction", lambda g, w=forged: w)
+        with pytest.raises(RuntimeError, match="split obstruction"):
+            cli.main(["recognize", gpath])
+    monkeypatch.undo()
+    capsys.readouterr()
+    code, out, _ = run(capsys, "recognize", gpath)
+    assert code == 0 and out.splitlines()[3] == "split: no (induced C4: a b c d)"

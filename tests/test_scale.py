@@ -2,6 +2,7 @@
 stalled in quadratic dispatch must finish, with exact values."""
 
 import random
+import time
 
 from oracles import (
     forest_graph,
@@ -13,7 +14,15 @@ from oracles import (
     random_sparse_bipartite,
     threshold_graph,
 )
-from stcsolve import Graph, solve_auto, solve_bipartite, solve_pig_dp, validate_stc
+from stcsolve import (
+    Graph,
+    cli,
+    format_edge_list,
+    solve_auto,
+    solve_bipartite,
+    solve_pig_dp,
+    validate_stc,
+)
 
 
 def test_auto_on_ten_thousand_vertex_sparse_bipartite():
@@ -74,3 +83,54 @@ def test_pig_dp_on_ten_thousand_vertex_union_of_proper_interval_graphs():
     res = solve_pig_dp(g)
     assert res.value == pig_reference_value(g)
     assert validate_stc(g, res.labeling) is None
+
+
+def _recognize_split_line(tmp_path, capsys, g: Graph) -> str:
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    assert cli.main(["recognize", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()[3]
+
+
+def test_recognize_on_c5_joined_with_k60(tmp_path, capsys):
+    cycle = ["z0", "z2", "z4", "z1", "z3"]
+    clique = [f"a{i:02d}" for i in range(60)]
+    edges = [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)]
+    edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+    edges += [(u, z) for u in clique for z in cycle]
+    line = _recognize_split_line(tmp_path, capsys, Graph(clique + cycle, edges))
+    assert line == "split: no (induced C5: z0 z2 z4 z1 z3)"
+
+
+def test_recognize_on_ten_thousand_vertex_sparse_graph_with_isolated_vertices_first(
+    tmp_path, capsys
+):
+    rng = random.Random(1)
+    labels = [f"v{i:04d}" for i in range(9800)]
+    edges = set()
+    while len(edges) < 15_000:
+        u, v = sorted(rng.sample(labels, 2))
+        edges.add((u, v))
+    g = Graph([f"i{i:03d}" for i in range(200)] + labels, edges)
+    line = _recognize_split_line(tmp_path, capsys, g)
+    kind, verts = line.removeprefix("split: no (induced ").rstrip(")").split(": ")
+    a, b, c, d = verts.split()
+    # the first vertex of the first witness is the first one with an edge
+    assert a == min(v for v in labels if g.neighbors(v))
+    if kind == "2K2":
+        assert g.has_edge(a, b) and g.has_edge(c, d)
+        assert not any(g.has_edge(x, y) for x in (a, b) for y in (c, d))
+    else:
+        assert kind == "C4"
+        assert all(g.has_edge(x, y) for x, y in ((a, b), (b, c), (c, d), (d, a)))
+        assert not g.has_edge(a, c) and not g.has_edge(b, d)
+
+
+def test_recognize_on_star_with_ten_thousand_leaves(tmp_path, capsys):
+    leaves = [f"l{i:05d}" for i in range(10_000)]
+    g = Graph(["h"] + leaves, [("h", v) for v in leaves])
+    start = time.perf_counter()
+    line = _recognize_split_line(tmp_path, capsys, g)
+    # linear side checks take well under a second; a quadratic one, seconds
+    assert time.perf_counter() - start < 5.0
+    assert line == f"split: yes (clique: h l00000 | independent: {' '.join(leaves[1:])})"
