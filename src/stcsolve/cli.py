@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from itertools import combinations
 
 from .edgelist import ParseError, format_edge_list, parse_edge_list
 from .graph import Graph, canon_edge
 from .incompat import StrongWeakLabeling, build_incompat, validate_stc
-from .ordering import candidate_order, recognize, verify_umbrella
+from .ordering import candidate_order, verify_umbrella
 from .reductions import (
     SetPackingInstance,
     gen_disjointnn_from_3sp,
@@ -76,11 +77,7 @@ def _result_document(result) -> str:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.input)
     try:
         if args.solver == "auto":
             result = solve_auto(g, oracle_cap=args.oracle_cap)
@@ -105,7 +102,7 @@ def _cmd_solve(args) -> int:
 def _parse_labeling(g: Graph, text: str) -> StrongWeakLabeling:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ParseError(f"labeling is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "strong" not in doc or "weak" not in doc:
         raise ParseError("labeling document needs 'strong' and 'weak' lists")
@@ -136,12 +133,8 @@ def _parse_labeling(g: Graph, text: str) -> StrongWeakLabeling:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        lab = _parse_labeling(g, _read_text(args.labeling))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.graph)
+    lab = _parse_labeling(g, _read_text(args.labeling))
     try:
         witness = validate_stc(g, lab)
     except ValueError as exc:
@@ -225,21 +218,13 @@ def _split_witness_holds(g: Graph, kind: str, verts: tuple[str, ...]) -> bool:
 
 
 def _cmd_recognize(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.input)
 
-    ordering = recognize(g)
-    if ordering is not None:
-        if verify_umbrella(g, ordering.order) is not None:
-            raise RuntimeError("recognition returned an unverified ordering")
-        print(f"proper-interval: yes (order: {' '.join(ordering.order)})")
+    order = candidate_order(g)  # the order recognize() verifies
+    triple = verify_umbrella(g, order)
+    if triple is None:
+        print(f"proper-interval: yes (order: {' '.join(order)})")
     else:
-        triple = verify_umbrella(g, candidate_order(g))
-        if triple is None:
-            raise RuntimeError("recognition failed but the candidate verifies")
         print(f"proper-interval: no (umbrella violated: {' '.join(triple)})")
 
     if trivially_perfect_forest(g) is not None:
@@ -284,13 +269,13 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_incompat(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.input)
     h = build_incompat(g)
     name = {e: f"{e[0]}-{e[1]}" for e in h.nodes}
+    clash = sorted(x for x, k in Counter(name.values()).items() if k > 1)
+    if clash:  # labels with '-' can make two edges' names equal
+        print(f"error: conflict-graph node name {clash[0]!r} names two edges", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     out = Graph(
         [name[e] for e in h.nodes],
         [(name[a], name[b]) for a, b in h.conflicts],
@@ -374,7 +359,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, OSError) as exc:  # unreadable or malformed input, on every command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

@@ -186,7 +186,7 @@ def contract_twins(g: Graph) -> tuple[Graph, TwinPartition, int]:
     contracted graph carries class sizes as vertex weights. Also returns the
     number of edges inside twin classes; those are always strong in an optimal
     labeling, so that count is added back when a contracted solution is
-    expanded. A graph without twins comes back as itself.
+    lifted. A graph without twins comes back as itself.
     """
     if not g.is_unit_weight():
         raise ValueError("contract_twins expects a unit-weight graph")

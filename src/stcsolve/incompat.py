@@ -115,6 +115,21 @@ def labeling_from_independent_set(
     return StrongWeakLabeling.from_strong(g, ss)
 
 
+def lift_labeling(g: Graph, rep: dict[str, str], contracted_strong) -> StrongWeakLabeling:
+    """Labeling of g from a strong set of its twin contraction (rep maps
+    each vertex to its class representative): one pass over g's edges, an
+    edge strong when its ends share a class or their classes' contracted
+    edge is strong. The contracted strong pairs must be canonical."""
+    strong = []
+    for e in g.edges:
+        ru, rv = rep[e[0]], rep[e[1]]
+        if ru == rv or ((ru, rv) if ru < rv else (rv, ru)) in contracted_strong:
+            strong.append(e)
+    s = frozenset(strong)
+    w = g.weights
+    return StrongWeakLabeling(s, g.edges - s, sum(w[u] * w[v] for u, v in s))
+
+
 def expand_labeling(
     original: Graph,
     tp: TwinPartition,
@@ -148,9 +163,4 @@ def expand_labeling(
         raise ValueError(
             f"intra_twin_value {intra_twin_value} does not match the partition ({intra})"
         )
-
-    strong = set()
-    for u, v in original.edges:
-        if rep[u] == rep[v] or canon_edge(rep[u], rep[v]) in contracted_lab.strong:
-            strong.add(canon_edge(u, v))
-    return StrongWeakLabeling.from_strong(original, strong)
+    return lift_labeling(original, rep, contracted_lab.strong)

@@ -19,8 +19,8 @@ from .incompat import (
     IncompatGraph,
     StrongWeakLabeling,
     build_incompat,
-    expand_labeling,
     labeling_from_independent_set,
+    lift_labeling,
     validate_stc,
 )
 from .ordering import recognize
@@ -49,12 +49,34 @@ class SolveResult:
     certificate: dict = field(default_factory=dict)
 
 
-def _finish(g: Graph, strong, solver: str, stats: dict, certificate: dict) -> SolveResult:
-    lab = StrongWeakLabeling.from_strong(g, strong)
+def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, stats: dict,
+            certificate: dict) -> SolveResult:
     witness = validate_stc(g, lab)
     if witness is not None:
         raise RuntimeError(f"{solver} produced an invalid labeling, wedge {witness}")
     return SolveResult(lab.value, lab, solver, stats, certificate)
+
+
+def _solve_contracted(g: Graph, solver: str, core) -> SolveResult:
+    """Contract true twins, solve the weighted contracted graph and lift.
+
+    core(cg) returns the contracted strong set (canonical pairs), its
+    weight, and the class's own stats and certificate entries. Edges inside
+    a twin class are always strong: on the classes solved this way MaxSTC
+    is cluster deletion (Grüttemeier & Komusiewicz, Algorithmica 2020), and
+    an optimal clustering keeps true twins together. An edge between classes
+    is strong when its contracted edge is (lift_labeling).
+    """
+    t0 = time.perf_counter()
+    cg, tp, intra = contract_twins(g)
+    strong_c, value_c, stats, cert = core(cg)
+    lab = lift_labeling(g, tp.rep_of(), strong_c)
+    stats.update(contracted_n=cg.n, intra_twin_value=intra,
+                 time_ms=(time.perf_counter() - t0) * 1000.0)
+    cert.update(intra_twin_value=intra, twin_classes=[sorted(c) for c in tp.classes])
+    result = _finish(g, lab, solver, stats, cert)
+    assert result.value == value_c + intra
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +287,7 @@ def solve_oracle(
         "time_ms": (time.perf_counter() - t0) * 1000.0,
     }
     cert = {"independent_set": sorted(sset)}
-    return _finish(g, lab.strong, "oracle", stats, cert)
+    return _finish(g, lab, "oracle", stats, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +327,30 @@ def _clique_blocks(weights, right) -> tuple[int, list[tuple[int, int]]]:
     return best[0], blocks
 
 
+def _pig_blocks(cg: Graph):
+    """solve_pig_dp's core for _solve_contracted."""
+    o = recognize(cg)
+    if o is None:
+        raise WrongClassError("not a proper interval graph")
+    order = o.order
+    value_c, blocks = _clique_blocks([cg.weights[v] for v in order], o.right_reach)
+    strong_c = {
+        canon_edge(order[s], order[t])
+        for i, k in blocks
+        for s in range(i, k)
+        for t in range(s + 1, k)
+    }
+    cert = {"ordering": list(order), "contracted_strong": sorted(strong_c)}
+    return strong_c, value_c, {"contracted_m": cg.m}, cert
+
+
 def solve_pig_dp(g: Graph) -> SolveResult:
     """Polynomial solve for proper interval graphs.
 
     Contract true twins, recognize an umbrella ordering of the contracted
     graph, cut the ordering into consecutive cliques of largest total
-    weight (_clique_blocks) and make every block a strong clique, then
-    expand the contracted labeling back to the input.
+    weight (_clique_blocks) and make every block a strong clique; the
+    result is lifted to the input (_solve_contracted).
 
     Why blocks suffice: some optimum of MaxSTC on a proper interval graph
     is a partition into cliques, so MaxSTC is cluster deletion on this
@@ -333,36 +372,7 @@ def solve_pig_dp(g: Graph) -> SolveResult:
     """
     if not g.is_unit_weight():
         raise ValueError("solve_pig_dp expects a unit-weight graph")
-    t0 = time.perf_counter()
-    cg, tp, intra = contract_twins(g)
-    o = recognize(cg)
-    if o is None:
-        raise WrongClassError("not a proper interval graph")
-    order = o.order
-    value_c, blocks = _clique_blocks([cg.weights[v] for v in order], o.right_reach)
-    strong_c = {
-        canon_edge(order[s], order[t])
-        for i, k in blocks
-        for s in range(i, k)
-        for t in range(s + 1, k)
-    }
-    lab_c = StrongWeakLabeling.from_strong(cg, strong_c)
-    lab = expand_labeling(g, tp, lab_c, intra)
-    stats = {
-        "contracted_n": cg.n,
-        "contracted_m": cg.m,
-        "intra_twin_value": intra,
-        "time_ms": (time.perf_counter() - t0) * 1000.0,
-    }
-    cert = {
-        "ordering": list(order),
-        "contracted_strong": sorted(strong_c),
-        "intra_twin_value": intra,
-        "twin_classes": [sorted(c) for c in tp.classes],
-    }
-    result = _finish(g, lab.strong, "pig-dp", stats, cert)
-    assert result.value == value_c + intra
-    return result
+    return _solve_contracted(g, "pig-dp", _pig_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +430,31 @@ def trivially_perfect_forest(g: Graph) -> dict[str, str | None] | None:
     return parent
 
 
+def _tp_chains(cg: Graph):
+    """solve_trivially_perfect's core for _solve_contracted."""
+    parent = trivially_perfect_forest(cg)
+    if parent is None:
+        raise RuntimeError("twin contraction left the trivially perfect class")
+    w = cg.weights
+    best: dict[str, int] = {}
+    low = {v: v for v in parent}  # smallest label in the subtree
+    pick: dict[str, str] = {}  # the child each chain continues into
+    for v in reversed(parent):
+        best[v] = w[v] + (best[pick[v]] if v in pick else 0)
+        p = parent[v]
+        if p is not None:
+            low[p] = min(low[p], low[v])
+            q = pick.get(p)
+            if q is None or (-best[v], low[v]) < (-best[q], low[q]):
+                pick[p] = v
+    above: dict[str, list[str]] = {}  # the members of v's chain above v
+    for v, p in parent.items():
+        above[v] = above[p] + [p] if pick.get(p) == v else []
+    strong_c = {canon_edge(a, v) for v in parent for a in above[v]}
+    value_c = sum(w[v] * (best[v] - w[v]) for v in parent)
+    return strong_c, value_c, {"conflict_nodes": cg.m}, {"independent_set": sorted(strong_c)}
+
+
 def solve_trivially_perfect(g: Graph) -> SolveResult:
     """Polynomial solve for trivially perfect ((P4, C4)-free) graphs.
 
@@ -442,42 +477,7 @@ def solve_trivially_perfect(g: Graph) -> SolveResult:
     if trivially_perfect_forest(g) is None:
         kind, quad = find_p4_or_c4(g)
         raise WrongClassError(f"not trivially perfect: induced {kind} on {quad}")
-    t0 = time.perf_counter()
-    cg, tp, intra = contract_twins(g)
-    parent = trivially_perfect_forest(cg)
-    if parent is None:
-        raise RuntimeError("twin contraction left the trivially perfect class")
-    w = cg.weights
-    best: dict[str, int] = {}
-    low = {v: v for v in parent}  # smallest label in the subtree
-    pick: dict[str, str] = {}  # the child each chain continues into
-    for v in reversed(parent):
-        best[v] = w[v] + (best[pick[v]] if v in pick else 0)
-        p = parent[v]
-        if p is not None:
-            low[p] = min(low[p], low[v])
-            q = pick.get(p)
-            if q is None or (-best[v], low[v]) < (-best[q], low[q]):
-                pick[p] = v
-    above: dict[str, list[str]] = {}  # the members of v's chain above v
-    for v, p in parent.items():
-        above[v] = above[p] + [p] if pick.get(p) == v else []
-    strong_c = {canon_edge(a, v) for v in parent for a in above[v]}
-    lab = expand_labeling(g, tp, StrongWeakLabeling.from_strong(cg, strong_c), intra)
-    stats = {
-        "contracted_n": cg.n,
-        "conflict_nodes": cg.m,
-        "intra_twin_value": intra,
-        "time_ms": (time.perf_counter() - t0) * 1000.0,
-    }
-    cert = {
-        "independent_set": sorted(strong_c),
-        "intra_twin_value": intra,
-        "twin_classes": [sorted(c) for c in tp.classes],
-    }
-    result = _finish(g, lab.strong, "trivially-perfect", stats, cert)
-    assert result.value == sum(w[v] * (best[v] - w[v]) for v in parent) + intra
-    return result
+    return _solve_contracted(g, "trivially-perfect", _tp_chains)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +586,8 @@ def solve_bipartite(g: Graph) -> SolveResult:
         "coloring": {v: colors[v] for v in g.vertices},
         "matching": sorted(matching),
     }
-    return _finish(g, matching, "bipartite-matching", stats, cert)
+    lab = StrongWeakLabeling.from_strong(g, matching)
+    return _finish(g, lab, "bipartite-matching", stats, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -289,3 +289,27 @@ def test_recognize_checks_the_split_witness(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     code, out, _ = run(capsys, "recognize", gpath)
     assert code == 0 and out.splitlines()[3] == "split: no (induced C4: a b c d)"
+
+
+def test_incompat_rejects_colliding_node_names(tmp_path, capsys):
+    """Edges a-b c and a b-c would both be named a-b-c in the output."""
+    gpath = write(tmp_path, "g.txt", "a-b c\na b-c\n")
+    code, out, err = run(capsys, "incompat", gpath)
+    assert code == 4 and out == ""
+    assert err == "error: conflict-graph node name 'a-b-c' names two edges\n"
+
+
+def test_verify_rejects_deeply_nested_labeling(tmp_path, capsys):
+    gpath = write(tmp_path, "g.txt", P3)
+    lpath = write(tmp_path, "lab.json", "[" * 10**5 + "]" * 10**5)
+    code, out, err = run(capsys, "verify", gpath, lpath)
+    assert code == 2 and out == ""
+    assert err.startswith("error: labeling is not valid JSON") and err.count("\n") == 1
+
+
+def test_generate_unwritable_sidecar_exits_two(tmp_path, capsys):
+    sidecar = str(tmp_path / "missing" / "t.txt")
+    code, _, err = run(capsys, "generate", "stc-reduction", "--universe", "3",
+                       "--triplet", "1,2,3", "--sidecar", sidecar)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -385,6 +385,33 @@ def test_pig_dp_strong_sets_match_prefix_clique_reference():
         ), seed
 
 
+def test_pig_dp_lifted_strong_set_matches_reference_blocks_plus_twin_edges():
+    """The full strong set of solve_pig_dp, not only its contracted part:
+    the three-index DP's blocks on the twin-contracted graph, lifted here
+    by hand (an edge is strong inside one twin class, or when the classes'
+    smallest members form a block pair), on planted-twin and dense proper
+    interval graphs, where most classes have several members."""
+    graphs = [g for g, _ in map(planted_twin_graph, range(400)) if recognize(g) is not None]
+    graphs += [
+        gen_random_proper_interval(4 + seed * 7 % 60, seed=seed, density=0.7 + 0.02 * (seed % 15))
+        for seed in range(200)
+    ]
+    with_twins = 0
+    for i, g in enumerate(graphs):
+        cg, tp, intra = contract_twins(g)
+        o = recognize(cg)
+        _value, pairs = pig_dp_reference(o.order, [cg.weights[v] for v in o.order], o.right_reach)
+        block_pairs = {frozenset((o.order[s], o.order[t])) for s, t in pairs}
+        head = {v: min(c) for c in tp.classes for v in c}
+        lifted = {
+            (u, v) for u, v in g.edges
+            if head[u] == head[v] or frozenset((head[u], head[v])) in block_pairs
+        }
+        assert solve_pig_dp(g).labeling.strong == lifted, i
+        with_twins += intra > 0
+    assert with_twins > len(graphs) // 2
+
+
 def test_solve_auto_validates_each_component_once(monkeypatch):
     """A triangle, a 4-cycle and a 5-cycle go to three different solvers;
     each validates its own component and the union is not checked again."""
