@@ -58,7 +58,6 @@ from .solvers import (
     find_odd_cycle,
     find_p4_or_c4,
     maximum_matching,
-    mwis_value,
     solve_auto,
     solve_bipartite,
     solve_oracle,
@@ -108,7 +107,6 @@ __all__ = [
     "labeling_from_independent_set",
     "maximum_matching",
     "maxstc_optimum_contracted",
-    "mwis_value",
     "nonneighborhoods",
     "parse_edge_list",
     "recognize",

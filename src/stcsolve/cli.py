@@ -13,7 +13,9 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from .edgelist import ParseError, format_edge_list, parse_edge_list
 from .graph import Graph, canon_edge
@@ -65,15 +67,32 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(_read_text(path))
 
 
+def _pairs(edges) -> str:
+    """A sorted list of label pairs as json.dumps(indent=2) lays it out one
+    level deep."""
+    if not edges:
+        return "[]"
+    enc = encode_basestring_ascii
+    body = "\n    ],\n    [\n      ".join(
+        f"{enc(u)},\n      {enc(v)}" for u, v in sorted(edges)
+    )
+    return f"[\n    [\n      {body}\n    ]\n  ]"
+
+
 def _result_document(result) -> str:
-    doc = {
-        "value": result.value,
-        "solver": result.solver,
-        "strong": [list(e) for e in sorted(result.labeling.strong)],
-        "weak": [list(e) for e in sorted(result.labeling.weak)],
-        "stats": {k: v for k, v in result.stats.items() if k != "time_ms"},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The result as json.dumps(doc, indent=2, sort_keys=True) writes it,
+    without that call's pure-Python encoder: the keys in sorted order, the
+    pairs escaped by the same function json uses, only the small stats
+    dict through json.dumps."""
+    stats = {k: v for k, v in result.stats.items() if k != "time_ms"}
+    stats_doc = json.dumps(stats, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        f'{{\n  "solver": {encode_basestring_ascii(result.solver)},\n'
+        f'  "stats": {stats_doc},\n'
+        f'  "strong": {_pairs(result.labeling.strong)},\n'
+        f'  "value": {json.dumps(result.value)},\n'
+        f'  "weak": {_pairs(result.labeling.weak)}\n}}'
+    )
 
 
 def _cmd_solve(args) -> int:
@@ -284,6 +303,7 @@ def _cmd_incompat(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stcsolve",

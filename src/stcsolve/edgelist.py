@@ -7,7 +7,7 @@ of the line. Blank lines are skipped.
 
 from __future__ import annotations
 
-from .graph import Graph, canon_edge
+from .graph import Graph
 
 
 class ParseError(ValueError):
@@ -15,27 +15,19 @@ class ParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    vertices: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
-
-    def declare(label: str) -> None:
-        if label not in seen:
-            seen.add(label)
-            vertices.append(label)
-
+    """The graph of an edge list, checked and built in one pass."""
+    adj: dict[str, set[str]] = {}
+    edges: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise ParseError(
                     f"line {lineno}: vertex line needs exactly one label"
                 )
-            declare(tokens[1])
+            adj.setdefault(tokens[1], set())
             continue
         if len(tokens) != 2:
             raise ParseError(
@@ -44,15 +36,18 @@ def parse_edge_list(text: str) -> Graph:
         u, v = tokens
         if u == v:
             raise ParseError(f"line {lineno}: self-loop on {u!r}")
-        e = canon_edge(u, v)
-        if e in edge_seen:
+        e = (u, v) if u < v else (v, u)
+        if e in edges:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
-        edge_seen.add(e)
-        declare(u)
-        declare(v)
-        edges.append((u, v))
-
-    return Graph(vertices, edges)
+        edges.add(e)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return Graph._trusted(
+        tuple(sorted(adj)),
+        frozenset(edges),
+        dict.fromkeys(adj, 1),
+        {v: frozenset(ns) for v, ns in adj.items()},
+    )
 
 
 def format_edge_list(g: Graph) -> str:

@@ -8,6 +8,7 @@ lists) are lexicographic so downstream output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 Edge = tuple[str, str]
@@ -62,6 +63,17 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], edges: frozenset[Edge],
+                 weights: dict[str, int], adj: dict[str, frozenset[str]]) -> "Graph":
+        """A graph from parts already known valid, checking none of them:
+        sorted vertices, canonical edges, weights keyed by exactly the
+        vertices and the matching adjacency. It is called only where a graph
+        is derived from valid input: parsing, components and contraction."""
+        g = cls.__new__(cls)
+        g.vertices, g.edges, g.weights, g._adj = vertices, edges, weights, adj
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -139,8 +151,10 @@ class Graph:
         edges: list[list[Edge]] = [[] for _ in members]
         for e in self.edges:
             edges[comp_of[e[0]]].append(e)
+        w, adj = self.weights, self._adj
         return [
-            Graph(vs, es, {v: self.weights[v] for v in vs})
+            Graph._trusted(tuple(sorted(vs)), frozenset(es), {v: w[v] for v in vs},
+                           {v: adj[v] for v in vs})
             for vs, es in zip(members, edges)
         ]
 
@@ -157,11 +171,12 @@ class TwinPartition:
     representatives: tuple[str, ...]
 
     def rep_of(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for rep, cls in zip(self.representatives, self.classes):
-            for v in cls:
-                out[v] = rep
-        return out
+        """Vertex -> representative, built on first use and shared after."""
+        return self._rep
+
+    @cached_property
+    def _rep(self) -> dict[str, str]:
+        return {v: r for r, cls in zip(self.representatives, self.classes) for v in cls}
 
 
 def twin_classes(g: Graph) -> TwinPartition:
@@ -193,11 +208,13 @@ def contract_twins(g: Graph) -> tuple[Graph, TwinPartition, int]:
     tp = twin_classes(g)
     if len(tp.classes) == g.n:  # twin-free: contracting would copy g
         return g, tp, 0
+    # class members share their neighbours outside the class, so each
+    # representative's own neighbours give its class's contracted ones
     rep = tp.rep_of()
-    edges = {
-        canon_edge(rep[u], rep[v]) for u, v in g.edges if rep[u] != rep[v]
-    }
-    weights = {r: len(c) for r, c in zip(tp.representatives, tp.classes)}
-    contracted = Graph(tp.representatives, edges, weights)
+    pairs = list(zip(tp.representatives, tp.classes))
+    adj = {r: frozenset({rep[y] for y in g._adj[r] if y not in c}) for r, c in pairs}
+    edges = frozenset((r, s) for r, ns in adj.items() for s in ns if r < s)
+    weights = {r: len(c) for r, c in pairs}
+    contracted = Graph._trusted(tp.representatives, edges, weights, adj)
     intra = sum(len(c) * (len(c) - 1) // 2 for c in tp.classes)
     return contracted, tp, intra

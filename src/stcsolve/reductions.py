@@ -18,7 +18,7 @@ from typing import Callable
 
 from .graph import Graph, canon_edge, contract_twins
 from .incompat import build_incompat
-from .solvers import mwis_value
+from .solvers import _BitGraph, _bb_max
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,9 @@ def maxstc_optimum_contracted(g: Graph, counters: dict | None = None) -> int:
     value-preserving (intra-class edges are always strong)."""
     cg, _tp, intra = contract_twins(g)
     h = build_incompat(cg)
-    return mwis_value(h, counters) + intra
+    counters = counters if counters is not None else {}
+    counters.setdefault("bb_states", 0)
+    return (_bb_max(_BitGraph(h), counters) if h.nodes else 0) + intra
 
 
 def split_assignment_optimum(si: SplitInstance, counters: dict | None = None) -> int:

@@ -70,7 +70,11 @@ def _solve_contracted(g: Graph, solver: str, core) -> SolveResult:
     t0 = time.perf_counter()
     cg, tp, intra = contract_twins(g)
     strong_c, value_c, stats, cert = core(cg)
-    lab = lift_labeling(g, tp.rep_of(), strong_c)
+    if cg is g:  # twin-free: the core's strong set is already g's
+        s = frozenset(strong_c)
+        lab = StrongWeakLabeling(s, g.edges - s, len(s))
+    else:
+        lab = lift_labeling(g, tp.rep_of(), strong_c)
     stats.update(contracted_n=cg.n, intra_twin_value=intra,
                  time_ms=(time.perf_counter() - t0) * 1000.0)
     cert.update(intra_twin_value=intra, twin_classes=[sorted(c) for c in tp.classes])
@@ -216,15 +220,6 @@ def _bb_reaches(bg: _BitGraph, rest: int, cur: int, target: int, counters: dict)
     if _bb_reaches(bg, rest & ~(bg.adj[v] | (1 << v)), cur + bg.weight[v], target, counters):
         return True
     return _bb_reaches(bg, rest & ~(1 << v), cur, target, counters)
-
-
-def mwis_value(h: IncompatGraph, counters: dict | None = None) -> int:
-    """Exact maximum weight of an independent set, value only."""
-    counters = counters if counters is not None else {"bb_states": 0}
-    counters.setdefault("bb_states", 0)
-    if not h.nodes:
-        return 0
-    return _bb_max(_BitGraph(h), counters)
 
 
 def brute_mwis(

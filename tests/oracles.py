@@ -6,11 +6,12 @@ enumerating all labelings, ordering existence from searching permutations.
 None of it shares code with the package.
 """
 
+import json
 import random
 from itertools import combinations
 from typing import NamedTuple
 
-from stcsolve import Graph, build_incompat, contract_twins, recognize
+from stcsolve import Graph, ParseError, build_incompat, canon_edge, contract_twins, recognize
 
 
 def strong_set_valid(g: Graph, strong) -> bool:
@@ -661,3 +662,87 @@ def edge_toggles(g: Graph):
     for u, v in combinations(g.vertices, 2):
         edges = set(g.edges) ^ {(u, v)}
         yield Graph(g.vertices, edges)
+
+
+def result_document_reference(result) -> str:
+    """The solve output document through the general JSON encoder."""
+    doc = {
+        "value": result.value,
+        "solver": result.solver,
+        "strong": [list(e) for e in sorted(result.labeling.strong)],
+        "weak": [list(e) for e in sorted(result.labeling.weak)],
+        "stats": {k: v for k, v in result.stats.items() if k != "time_ms"},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def parse_edge_list_reference(text: str) -> Graph:
+    """Edge-list parsing that checks each line, then builds the graph
+    through the public, fully checking Graph constructor."""
+    vertices: list[str] = []
+    seen: set[str] = set()
+    edges: list[tuple[str, str]] = []
+    edge_seen: set[tuple[str, str]] = set()
+
+    def declare(label: str) -> None:
+        if label not in seen:
+            seen.add(label)
+            vertices.append(label)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "vertex":
+            if len(tokens) != 2:
+                raise ParseError(
+                    f"line {lineno}: vertex line needs exactly one label"
+                )
+            declare(tokens[1])
+            continue
+        if len(tokens) != 2:
+            raise ParseError(
+                f"line {lineno}: expected two labels, got {len(tokens)}"
+            )
+        u, v = tokens
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop on {u!r}")
+        e = canon_edge(u, v)
+        if e in edge_seen:
+            raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
+        edge_seen.add(e)
+        declare(u)
+        declare(v)
+        edges.append((u, v))
+
+    return Graph(vertices, edges)
+
+
+def graph_invariant_violations(g: Graph) -> list[str]:
+    """What a Graph must satisfy, however it was built: sorted distinct
+    vertices, canonical edges between them, a symmetric adjacency that
+    holds exactly the edges, and a positive integer weight per vertex."""
+    out = []
+    vs = set(g.vertices)
+    if not isinstance(g.vertices, tuple) or list(g.vertices) != sorted(vs):
+        out.append("vertices are not a sorted tuple of distinct labels")
+    if not isinstance(g.edges, frozenset):
+        out.append("edges are not a frozenset")
+    out += [f"edge {e!r} is not canonical" for e in g.edges if not e[0] < e[1]]
+    out += [f"edge {e!r} leaves the vertex set" for e in g.edges if not set(e) <= vs]
+    if set(g._adj) != vs:
+        out.append("adjacency keys differ from the vertices")
+    else:
+        for v, ns in g._adj.items():
+            if not isinstance(ns, frozenset):
+                out.append(f"neighbours of {v!r} are not a frozenset")
+            out += [f"{v!r} -> {y!r} has no reverse" for y in ns if v not in g._adj.get(y, ())]
+        from_adj = {canon_edge(v, y) for v, ns in g._adj.items() for y in ns}
+        if from_adj != set(g.edges):
+            out.append("adjacency and edges disagree")
+    if set(g.weights) != vs:
+        out.append("weight keys differ from the vertices")
+    out += [f"weight of {v!r} is {w!r}" for v, w in g.weights.items()
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1]
+    return out

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +317,37 @@ def test_generate_unwritable_sidecar_exits_two(tmp_path, capsys):
                        "--triplet", "1,2,3", "--sidecar", sidecar)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of the CLI run in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from stcsolve.cli import entry; entry()", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; options given to one command
+    must not leak into the next, and each output equals a fresh run's."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width in both
+    gpath = write(tmp_path, "g.txt", NO_CLASS + P4.replace("a", "p").replace("b", "q"))
+    sequence = [
+        ("solve", gpath, "--solver", "oracle", "--oracle-cap", "5"),
+        ("solve", gpath),
+        ("solve", "--solver", "nope", gpath),
+        ("recognize", gpath),
+    ]
+    outputs = [run(capsys, *argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in outputs] == [4, 0, 2, 0]
+    assert "cap is 5" in outputs[0][2]
+    # auto dispatch, and the default cap: the NO_CLASS component has 7 edges
+    doc = json.loads(outputs[1][1])
+    assert doc["solver"] == "mixed" and doc["stats"]["component_solvers"]["h"] == "oracle"
+    assert "invalid choice: 'nope'" in outputs[2][2]
+    for argv, got in zip(sequence, outputs):
+        assert got == fresh_process(*argv), argv
