@@ -215,25 +215,26 @@ def _cmd_generate(args) -> int:
         return EXIT_INPUT
 
 
-def _induced_quad_kind(g: Graph, quad: tuple[str, str, str, str]) -> str | None:
-    a, b, c, d = quad
-    path = g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
-    if path and not g.has_edge(a, c) and not g.has_edge(b, d):
-        return "C4" if g.has_edge(a, d) else "P4"
-    return None
+# the edges of each witness pattern, by index into its vertices as listed:
+# paths and cycles along themselves, a 2K2 as its two edges
+_PATTERNS = {
+    "P4": ((0, 1), (1, 2), (2, 3)),
+    "C4": ((0, 1), (1, 2), (2, 3), (0, 3)),
+    "2K2": ((0, 1), (2, 3)),
+    "C5": ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
+}
 
 
-def _split_witness_holds(g: Graph, kind: str, verts: tuple[str, ...]) -> bool:
-    """Whether verts induce exactly the claimed 2K2 (two edges, as listed),
-    C4 or C5 (along the cycle)."""
+def _induces(g: Graph, kind: str, verts: tuple[str, ...]) -> bool:
+    """Whether verts are distinct and induce exactly the pattern `kind`."""
+    edges = _PATTERNS.get(kind, ())
     k = len(verts)
-    if k != {"2K2": 4, "C4": 4, "C5": 5}.get(kind) or len(set(verts)) != k:
+    if not edges or k != 1 + max(j for _, j in edges) or len(set(verts)) != k:
         return False
-    for i, j in combinations(range(k), 2):
-        edge = (i, j) in ((0, 1), (2, 3)) if kind == "2K2" else j - i in (1, k - 1)
-        if g.has_edge(verts[i], verts[j]) != edge:
-            return False
-    return True
+    return all(
+        g.has_edge(verts[i], verts[j]) == ((i, j) in edges)
+        for i, j in combinations(range(k), 2)
+    )
 
 
 def _cmd_recognize(args) -> int:
@@ -250,7 +251,7 @@ def _cmd_recognize(args) -> int:
         print("trivially-perfect: yes")
     else:
         kind, four = find_p4_or_c4(g)
-        if _induced_quad_kind(g, four) != kind:
+        if not _induces(g, kind, four):
             raise RuntimeError("reported quadruple is not the claimed subgraph")
         print(f"trivially-perfect: no (induced {kind}: {' '.join(four)})")
 
@@ -281,7 +282,7 @@ def _cmd_recognize(args) -> int:
         print(f"split: yes (clique: {' '.join(clique)} | independent: {' '.join(rest)})")
     else:
         kind, verts = find_split_obstruction(g)
-        if not _split_witness_holds(g, kind, verts):
+        if not _induces(g, kind, verts):
             raise RuntimeError("split obstruction is not the claimed subgraph")
         print(f"split: no (induced {kind}: {' '.join(verts)})")
     return EXIT_OK

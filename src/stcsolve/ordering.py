@@ -6,9 +6,13 @@ an ordering exactly when it is a proper interval graph. Recognition runs
 multi-sweep lexicographic BFS and then always verifies the candidate, so
 correctness rests on the verification, not on the sweep heuristic.
 
-Each sweep is partition refinement (Habib, McConnell, Paul & Viennot,
-"Lex-BFS and partition refinement", TCS 2000) and costs O(n + m log n), so
-recognition is near-linear: three sweeps, then a linear verification.
+Verification checks that every closed neighbourhood is consecutive in the
+ordering, which is the umbrella property (the straight orderings of Looges
+& Olariu, Comput. Math. Appl. 1993), and the same scan yields the reaches
+the DP needs. Each sweep is partition refinement (Habib, McConnell, Paul &
+Viennot, "Lex-BFS and partition refinement", TCS 2000) and costs
+O(n + m log n), so recognition is near-linear: three sweeps, then one
+linear scan.
 """
 
 from __future__ import annotations
@@ -35,43 +39,55 @@ class ProperIntervalOrdering:
         return self.order.index(v)
 
 
+def _closed_spans(g: Graph, order: tuple[str, ...]) -> tuple[list[int], list[int], int | None]:
+    """One scan of `order`: left[i] / right[i] are the smallest / largest
+    positions of the closed neighbourhood of position i, up to the first
+    position whose closed neighbourhood is not consecutive, which is
+    returned third (None when there is none).
+
+    An ordering is an umbrella ordering exactly when every closed
+    neighbourhood is consecutive in it: an edge v_i v_k puts every position
+    between i and k into both closed neighbourhoods, and a gap between two
+    members of a closed neighbourhood is a violating triple. A neighbourhood
+    is consecutive when its span is no wider than its size. O(n + m).
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    left: list[int] = []
+    right: list[int] = []
+    for i, v in enumerate(order):
+        ps = [pos[u] for u in g.neighbors(v)]
+        ps.append(i)
+        lo, hi = min(ps), max(ps)
+        left.append(lo)
+        right.append(hi)
+        if hi - lo >= len(ps):
+            return left, right, i
+    return left, right, None
+
+
 def verify_umbrella(g: Graph, order: Sequence[str]) -> tuple[str, str, str] | None:
     """Return None if `order` has the umbrella property, else a violating
     triple (x, y, z) with x before y before z, xz an edge and xy or yz not.
+    The triple comes from the first position whose closed neighbourhood has
+    a gap: the earliest gap on its right, else the earliest on its left,
+    with the far end of that side as the third vertex.
 
     Raises ValueError when `order` is not a permutation of g's vertices.
     """
     order = tuple(order)
     if len(order) != g.n or set(order) != set(g.vertices):
         raise ValueError("order is not a permutation of the vertex set")
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    for i, v in enumerate(order):
-        right = [pos[u] for u in g.neighbors(v) if pos[u] > i]
-        if right:
-            k = max(right)
-            rset = set(right)
-            for j in range(i + 1, k):
-                if j not in rset:
-                    return (v, order[j], order[k])
-        left = [pos[u] for u in g.neighbors(v) if pos[u] < i]
-        if left:
-            l = min(left)
-            lset = set(left)
-            for j in range(l + 1, i):
-                if j not in lset:
-                    return (order[l], order[j], v)
-    return None
-
-
-def _reaches(g: Graph, order: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    pos = {v: i for i, v in enumerate(order)}
-    left, right = [], []
-    for i, v in enumerate(order):
-        ps = [pos[u] for u in g.neighbors(v)]
-        left.append(min(ps + [i]))
-        right.append(max(ps + [i]))
-    return tuple(left), tuple(right)
+    left, right, i = _closed_spans(g, order)
+    if i is None:
+        return None
+    v = order[i]
+    nv = g.neighbors(v)
+    k, l = right[i], left[i]
+    for j in range(i + 1, k):
+        if order[j] not in nv:
+            return (v, order[j], order[k])
+    j = next(j for j in range(l + 1, i) if order[j] not in nv)
+    return (order[l], order[j], v)
 
 
 def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
@@ -175,10 +191,10 @@ def recognize(g: Graph) -> ProperIntervalOrdering | None:
     whenever one exists.
     """
     order = candidate_order(g)
-    if verify_umbrella(g, order) is not None:
+    left, right, bad = _closed_spans(g, order)
+    if bad is not None:
         return None
-    left, right = _reaches(g, order)
-    return ProperIntervalOrdering(order, left, right)
+    return ProperIntervalOrdering(order, tuple(left), tuple(right))
 
 
 def reverse(o: ProperIntervalOrdering) -> ProperIntervalOrdering:

@@ -161,18 +161,16 @@ def gen_maxstc_from_disjointnn(
     return inst, threshold
 
 
-def maxstc_optimum_contracted(g: Graph, counters: dict | None = None) -> int:
+def maxstc_optimum_contracted(g: Graph) -> int:
     """Exact optimum via twin contraction plus branch-and-bound on the
     conflict graph. Contraction keeps generated instances tractable and is
     value-preserving (intra-class edges are always strong)."""
     cg, _tp, intra = contract_twins(g)
     h = build_incompat(cg)
-    counters = counters if counters is not None else {}
-    counters.setdefault("bb_states", 0)
-    return (_bb_max(_BitGraph(h), counters) if h.nodes else 0) + intra
+    return (_bb_max(_BitGraph(h), {"bb_states": 0}) if h.nodes else 0) + intra
 
 
-def split_assignment_optimum(si: SplitInstance, counters: dict | None = None) -> int:
+def split_assignment_optimum(si: SplitInstance) -> int:
     """Exact optimum for a split graph, by searching edge assignments.
 
     In a split graph every independent-side vertex has a clique neighborhood,
@@ -226,9 +224,6 @@ def split_assignment_optimum(si: SplitInstance, counters: dict | None = None) ->
             for i in range(settled_at, len(ks) + 1):
                 settled[i] |= bit
 
-    if counters is None:
-        counters = {}
-    counters.setdefault("assign_states", 0)
     best = total_k  # assigning nothing keeps the whole clique strong
     nks = len(ks)
 
@@ -251,7 +246,6 @@ def split_assignment_optimum(si: SplitInstance, counters: dict | None = None) ->
 
     def dfs(i: int, alive: int, cur: int) -> None:
         nonlocal best
-        counters["assign_states"] += 1
         if i == nks:
             if cur > best:
                 best = cur

@@ -19,7 +19,6 @@ from .incompat import (
     IncompatGraph,
     StrongWeakLabeling,
     build_incompat,
-    labeling_from_independent_set,
     lift_labeling,
     validate_stc,
 )
@@ -98,30 +97,19 @@ class _BitGraph:
     """
 
     def __init__(self, h: IncompatGraph):
-        nodes = list(h.nodes)
-        idx = {e: i for i, e in enumerate(nodes)}
-        deg = [0] * len(nodes)
-        adj = [0] * len(nodes)
+        deg = dict.fromkeys(h.nodes, 0)
+        for a, b in h.conflicts:
+            deg[a] += 1
+            deg[b] += 1
+        self.nodes = sorted(h.nodes, key=lambda e: (-deg[e], e))
+        self.weight = [h.node_weight[e] for e in self.nodes]
+        idx = {e: i for i, e in enumerate(self.nodes)}
+        self.adj = [0] * len(self.nodes)
         for a, b in h.conflicts:
             ia, ib = idx[a], idx[b]
-            adj[ia] |= 1 << ib
-            adj[ib] |= 1 << ia
-            deg[ia] += 1
-            deg[ib] += 1
-        order = sorted(range(len(nodes)), key=lambda i: (-deg[i], nodes[i]))
-        self.nodes = [nodes[i] for i in order]
-        self.weight = [h.node_weight[nodes[i]] for i in order]
-        remap = {old: new for new, old in enumerate(order)}
-        self.adj = [0] * len(nodes)
-        for new, old in enumerate(order):
-            m = adj[old]
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= 1 << remap[low.bit_length() - 1]
-                m ^= low
-            self.adj[new] = acc
-        self.n = len(nodes)
+            self.adj[ia] |= 1 << ib
+            self.adj[ib] |= 1 << ia
+        self.n = len(self.nodes)
         # lexicographic scan order over internal indices
         self.lex = sorted(range(self.n), key=lambda i: self.nodes[i])
         self.cover = self._clique_cover()
@@ -273,7 +261,7 @@ def solve_oracle(
     h = build_incompat(g)
     counters = {"bb_states": 0}
     value, sset = brute_mwis(h, cap, force, counters)
-    lab = labeling_from_independent_set(g, h, sset)
+    lab = StrongWeakLabeling.from_strong(g, sset)  # _finish validates it
     assert lab.value == value
     stats = {
         "nodes": len(h.nodes),
@@ -383,14 +371,11 @@ def find_p4_or_c4(g: Graph) -> tuple[str, tuple[str, str, str, str]] | None:
         nb = g.neighbors(b)
         for c in sorted(x for x in nb if x > b):
             nc = g.neighbors(c)
-            left = sorted(nb - nc - {c})
-            right = sorted(nc - nb - {b})
-            for a in left:
-                for d in right:
-                    if a == d:
-                        continue
-                    kind = "C4" if g.has_edge(a, d) else "P4"
-                    return (kind, (a, b, c, d))
+            left = nb - nc - {c}
+            right = nc - nb - {b}
+            if left and right:
+                a, d = min(left), min(right)
+                return ("C4" if g.has_edge(a, d) else "P4", (a, b, c, d))
     return None
 
 

@@ -68,6 +68,43 @@ def umbrella_exists(g: Graph) -> bool:
     return extend([], set(vs))
 
 
+def verify_umbrella_reference(g: Graph, order) -> tuple | None:
+    """The first violating triple by gap sets: for each position in turn,
+    the first non-neighbour between it and its farthest right neighbour,
+    then the first between its farthest left neighbour and it."""
+    order = tuple(order)
+    if len(order) != g.n or set(order) != set(g.vertices):
+        raise ValueError("order is not a permutation of the vertex set")
+    pos = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        right = [pos[u] for u in g.neighbors(v) if pos[u] > i]
+        if right:
+            k = max(right)
+            rset = set(right)
+            for j in range(i + 1, k):
+                if j not in rset:
+                    return (v, order[j], order[k])
+        left = [pos[u] for u in g.neighbors(v) if pos[u] < i]
+        if left:
+            l = min(left)
+            lset = set(left)
+            for j in range(l + 1, i):
+                if j not in lset:
+                    return (order[l], order[j], v)
+    return None
+
+
+def reaches_reference(g: Graph, order) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Smallest and largest position of each closed neighbourhood."""
+    pos = {v: i for i, v in enumerate(order)}
+    left, right = [], []
+    for i, v in enumerate(order):
+        ps = [pos[u] for u in g.neighbors(v)]
+        left.append(min(ps + [i]))
+        right.append(max(ps + [i]))
+    return tuple(left), tuple(right)
+
+
 def max_set_packing(triplets) -> int:
     """Largest pairwise-disjoint subfamily, by checking every subfamily."""
     fam = list(triplets)
