@@ -53,5 +53,6 @@ def parse_edge_list(text: str) -> Graph:
 def format_edge_list(g: Graph) -> str:
     isolated = sorted(v for v in g.vertices if g.degree(v) == 0)
     lines = [f"vertex {v}" for v in isolated]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    # an edge line starting with `vertex` would read back as a declaration
+    lines.extend(f"{v} {u}" if u == "vertex" else f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, canon_edge, contract_twins
@@ -54,32 +53,6 @@ def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, stats: dict,
     if witness is not None:
         raise RuntimeError(f"{solver} produced an invalid labeling, wedge {witness}")
     return SolveResult(lab.value, lab, solver, stats, certificate)
-
-
-def _solve_contracted(g: Graph, solver: str, core) -> SolveResult:
-    """Contract true twins, solve the weighted contracted graph and lift.
-
-    core(cg) returns the contracted strong set (canonical pairs), its
-    weight, and the class's own stats and certificate entries. Edges inside
-    a twin class are always strong: on the classes solved this way MaxSTC
-    is cluster deletion (Grüttemeier & Komusiewicz, Algorithmica 2020), and
-    an optimal clustering keeps true twins together. An edge between classes
-    is strong when its contracted edge is (lift_labeling).
-    """
-    t0 = time.perf_counter()
-    cg, tp, intra = contract_twins(g)
-    strong_c, value_c, stats, cert = core(cg)
-    if cg is g:  # twin-free: the core's strong set is already g's
-        s = frozenset(strong_c)
-        lab = StrongWeakLabeling(s, g.edges - s, len(s))
-    else:
-        lab = lift_labeling(g, tp.rep_of(), strong_c)
-    stats.update(contracted_n=cg.n, intra_twin_value=intra,
-                 time_ms=(time.perf_counter() - t0) * 1000.0)
-    cert.update(intra_twin_value=intra, twin_classes=[sorted(c) for c in tp.classes])
-    result = _finish(g, lab, solver, stats, cert)
-    assert result.value == value_c + intra
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +283,16 @@ def _clique_blocks(weights, right) -> tuple[int, list[tuple[int, int]]]:
     return best[0], blocks
 
 
-def _pig_blocks(cg: Graph):
-    """solve_pig_dp's core for _solve_contracted."""
-    o = recognize(cg)
-    if o is None:
-        raise WrongClassError("not a proper interval graph")
-    order = o.order
-    value_c, blocks = _clique_blocks([cg.weights[v] for v in order], o.right_reach)
-    strong_c = {
-        canon_edge(order[s], order[t])
-        for i, k in blocks
-        for s in range(i, k)
-        for t in range(s + 1, k)
-    }
-    cert = {"ordering": list(order), "contracted_strong": sorted(strong_c)}
-    return strong_c, value_c, {"contracted_m": cg.m}, cert
-
-
 def solve_pig_dp(g: Graph) -> SolveResult:
     """Polynomial solve for proper interval graphs.
 
     Contract true twins, recognize an umbrella ordering of the contracted
     graph, cut the ordering into consecutive cliques of largest total
-    weight (_clique_blocks) and make every block a strong clique; the
-    result is lifted to the input (_solve_contracted).
+    weight (_clique_blocks) and make every block a strong clique. The
+    result is lifted to the input (lift_labeling): an edge inside a twin
+    class is always strong, because an optimal clustering keeps true twins
+    together, and an edge between classes is strong when its contracted
+    edge is.
 
     Why blocks suffice: some optimum of MaxSTC on a proper interval graph
     is a partition into cliques, so MaxSTC is cluster deletion on this
@@ -355,7 +314,31 @@ def solve_pig_dp(g: Graph) -> SolveResult:
     """
     if not g.is_unit_weight():
         raise ValueError("solve_pig_dp expects a unit-weight graph")
-    return _solve_contracted(g, "pig-dp", _pig_blocks)
+    t0 = time.perf_counter()
+    cg, tp, intra = contract_twins(g)
+    o = recognize(cg)
+    if o is None:
+        raise WrongClassError("not a proper interval graph")
+    order = o.order
+    value_c, blocks = _clique_blocks([cg.weights[v] for v in order], o.right_reach)
+    strong_c = {
+        canon_edge(order[s], order[t])
+        for i, k in blocks
+        for s in range(i, k)
+        for t in range(s + 1, k)
+    }
+    if cg is g:  # twin-free: the contracted strong set is already g's
+        strong = frozenset(strong_c)
+        lab = StrongWeakLabeling(strong, g.edges - strong, len(strong))
+    else:
+        lab = lift_labeling(g, tp.rep_of(), strong_c)
+    stats = {"contracted_m": cg.m, "contracted_n": cg.n, "intra_twin_value": intra,
+             "time_ms": (time.perf_counter() - t0) * 1000.0}
+    cert = {"ordering": list(order), "contracted_strong": sorted(strong_c),
+            "intra_twin_value": intra}
+    result = _finish(g, lab, "pig-dp", stats, cert)
+    assert result.value == value_c + intra
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +393,14 @@ def trivially_perfect_forest(g: Graph) -> dict[str, str | None] | None:
     return parent
 
 
-def _tp_chains(cg: Graph):
-    """solve_trivially_perfect's core for _solve_contracted."""
-    parent = trivially_perfect_forest(cg)
-    if parent is None:
-        raise RuntimeError("twin contraction left the trivially perfect class")
-    w = cg.weights
-    best: dict[str, int] = {}
+def _solve_on_forest(g: Graph, parent: dict[str, str | None]) -> SolveResult:
+    """solve_trivially_perfect on g's forest, once it is built."""
+    t0 = time.perf_counter()
+    best: dict[str, int] = {}  # the length of the longest chain down from v
     low = {v: v for v in parent}  # smallest label in the subtree
     pick: dict[str, str] = {}  # the child each chain continues into
     for v in reversed(parent):
-        best[v] = w[v] + (best[pick[v]] if v in pick else 0)
+        best[v] = 1 + (best[pick[v]] if v in pick else 0)
         p = parent[v]
         if p is not None:
             low[p] = min(low[p], low[v])
@@ -430,34 +410,44 @@ def _tp_chains(cg: Graph):
     above: dict[str, list[str]] = {}  # the members of v's chain above v
     for v, p in parent.items():
         above[v] = above[p] + [p] if pick.get(p) == v else []
-    strong_c = {canon_edge(a, v) for v in parent for a in above[v]}
-    value_c = sum(w[v] * (best[v] - w[v]) for v in parent)
-    return strong_c, value_c, {"conflict_nodes": cg.m}, {"independent_set": sorted(strong_c)}
+    strong = frozenset(canon_edge(a, v) for v in parent for a in above[v])
+    lab = StrongWeakLabeling(strong, g.edges - strong, len(strong))
+    assert lab.value == sum(best.values()) - len(best)
+    cg, _tp, intra = contract_twins(g)
+    stats = {"conflict_nodes": cg.m, "contracted_n": cg.n, "intra_twin_value": intra,
+             "time_ms": (time.perf_counter() - t0) * 1000.0}
+    return _finish(g, lab, "trivially-perfect", stats, {"forest": parent})
 
 
 def solve_trivially_perfect(g: Graph) -> SolveResult:
     """Polynomial solve for trivially perfect ((P4, C4)-free) graphs.
 
-    On the forest of the twin-contracted graph (trivially_perfect_forest),
-    a vertex's strong neighbours form a clique exactly when its strong
-    descendants lie on one downward path. Counting each strong edge at its
-    upper end, v contributes w(v) times the weight of its strong
-    descendants, at most w(v) * (best(v) - w(v)) with best(v) the heaviest
-    chain down from v. Cutting the forest into long paths, each vertex
-    continuing its chain into the child of largest best, meets every bound
-    at once. The chains are cliques, so this is the greedy peeling of
-    maximum cliques that solves cluster deletion on cographs (Gao, Hare &
-    Nastos, Discrete Math 2013), and here MaxSTC equals cluster deletion.
-    Ties go to the child whose subtree holds the smallest label: the
-    optimum that the conflict graph's cograph MWIS picks, taking the join
-    part with the smallest edge.
+    On the forest of g (trivially_perfect_forest), a vertex's strong
+    neighbours form a clique exactly when its strong descendants lie on one
+    downward path. Counting each strong edge at its upper end, v
+    contributes its number of strong descendants, at most best(v) - 1 with
+    best(v) the longest chain down from v. Cutting the forest into long
+    paths, each vertex continuing its chain into the child of largest best,
+    meets every bound at once. The chains are cliques, so this is the
+    greedy peeling of maximum cliques that solves cluster deletion on
+    cographs (Gao, Hare & Nastos, Discrete Math 2013), and here MaxSTC
+    equals cluster deletion. Ties go to the child whose subtree holds the
+    smallest label: the optimum that the conflict graph's cograph MWIS
+    picks, taking the join part with the smallest edge. A vertex that is
+    its parent's only child is the parent's true twin and always continues
+    its chain, so true twins end up in one strong clique.
+
+    The stats report the sizes of g's twin contraction (contract_twins);
+    the certificate is the forest, whose ancestor-descendant pairs are
+    exactly g's edges.
     """
     if not g.is_unit_weight():
         raise ValueError("solve_trivially_perfect expects a unit-weight graph")
-    if trivially_perfect_forest(g) is None:
+    parent = trivially_perfect_forest(g)
+    if parent is None:
         kind, quad = find_p4_or_c4(g)
         raise WrongClassError(f"not trivially perfect: induced {kind} on {quad}")
-    return _solve_contracted(g, "trivially-perfect", _tp_chains)
+    return _solve_on_forest(g, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +566,17 @@ def solve_bipartite(g: Graph) -> SolveResult:
 
 
 def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
-    """Pick a solver: trivially perfect (checked on the whole graph; the class
-    is closed under disjoint union), then per component proper interval,
-    bipartite, and finally the brute-force oracle under its cap. Each
-    component goes to the class solvers in that order and is classified
-    once, by the first solver that accepts it."""
+    """Pick a solver: trivially perfect (the whole graph's forest is built
+    once and solved on when it exists; the class is closed under disjoint
+    union), then per component proper interval, bipartite, and finally the
+    brute-force oracle under its cap. Each component goes to the class
+    solvers in that order and is classified once, by the first solver that
+    accepts it. No P4 or C4 witness is searched for: nothing prints it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
-    with suppress(WrongClassError):
-        return solve_trivially_perfect(g)
+    parent = trivially_perfect_forest(g)
+    if parent is not None:
+        return _solve_on_forest(g, parent)
     t0 = time.perf_counter()
     strong: set[Edge] = set()
     tags: list[str] = []

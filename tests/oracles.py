@@ -11,7 +11,16 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from stcsolve import Graph, ParseError, build_incompat, canon_edge, contract_twins, recognize
+from stcsolve import (
+    Graph,
+    ParseError,
+    build_incompat,
+    canon_edge,
+    contract_twins,
+    recognize,
+    trivially_perfect_forest,
+)
+from stcsolve.incompat import lift_labeling
 
 
 def strong_set_valid(g: Graph, strong) -> bool:
@@ -423,6 +432,37 @@ def tp_strong_reference(g: Graph) -> frozenset:
         (u, v) for u, v in g.edges
         if rep[u] == rep[v] or tuple(sorted((rep[u], rep[v]))) in sset
     )
+
+
+def tp_contracted_reference(g: Graph) -> tuple[frozenset, frozenset, int, dict]:
+    """The contract, solve and lift route solve_trivially_perfect took
+    before it solved on g's own forest: contract true twins, build the
+    forest of the contracted graph, peel its heaviest chains with the class
+    sizes as weights (ties to the child whose subtree holds the smallest
+    label) and lift the chains back to g. Returns the strong set, the weak
+    set, the value and the stats without time_ms."""
+    cg, tp, intra = contract_twins(g)
+    parent = trivially_perfect_forest(cg)
+    assert parent is not None, "contraction left the trivially perfect class"
+    w = cg.weights
+    best, low, pick = {}, {v: v for v in parent}, {}
+    for v in reversed(parent):
+        best[v] = w[v] + (best[pick[v]] if v in pick else 0)
+        p = parent[v]
+        if p is not None:
+            low[p] = min(low[p], low[v])
+            q = pick.get(p)
+            if q is None or (-best[v], low[v]) < (-best[q], low[q]):
+                pick[p] = v
+    above = {}
+    for v, p in parent.items():
+        above[v] = above[p] + [p] if pick.get(p) == v else []
+    strong_c = {canon_edge(a, v) for v in parent for a in above[v]}
+    value_c = sum(w[v] * (best[v] - w[v]) for v in parent)
+    lab = lift_labeling(g, tp.rep_of(), strong_c)
+    assert lab.value == value_c + intra
+    stats = {"conflict_nodes": cg.m, "contracted_n": cg.n, "intra_twin_value": intra}
+    return lab.strong, lab.weak, lab.value, stats
 
 
 def forest_graph(labels, parent) -> Graph:

@@ -55,3 +55,15 @@ def test_empty_graph_formats_to_nothing():
 def test_roundtrip():
     g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_roundtrip_keeps_edges_of_a_vertex_labelled_vertex():
+    """An edge line starting with `vertex` reads back as a declaration, so
+    such an edge must be written with `vertex` second."""
+    for g in (
+        Graph(["a", "vertex", "x"], [("a", "vertex"), ("vertex", "x")]),
+        Graph(["vertex", "x", "y"], [("vertex", "y")]),
+        Graph(["a", "b", "vertex"], [("a", "b")]),
+        Graph(["vertex"], []),
+    ):
+        assert parse_edge_list(format_edge_list(g)) == g
