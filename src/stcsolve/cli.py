@@ -4,7 +4,7 @@ Subcommands: solve, verify, generate, recognize, incompat. Graphs travel as
 plain edge-list text (``-`` reads stdin), labelings as JSON documents. Exit
 codes: 0 success, 1 invalid labeling, 2 malformed input or bad parameters,
 3 forced solver given a graph outside its class, 4 instance unsupported
-(for example the brute-force cap).
+(the brute-force cap, or a search deeper than the recursion limit).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .reductions import (
 )
 from .solvers import (
     DEFAULT_ORACLE_CAP,
-    OracleCapError,
     UnsupportedInstanceError,
     WrongClassError,
     find_odd_cycle,
@@ -50,6 +49,15 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_WRONG_CLASS = 3
 EXIT_UNSUPPORTED = 4
+
+# exit code of each failure a command raises, first match wins; others escape main
+_EXIT_CODES = {
+    WrongClassError: EXIT_WRONG_CLASS,
+    UnsupportedInstanceError: EXIT_UNSUPPORTED,  # also OracleCapError
+    RecursionError: EXIT_UNSUPPORTED,  # a search deeper than the recursion limit
+    ValueError: EXIT_INPUT,  # also ParseError: malformed input, bad parameters
+    OSError: EXIT_INPUT,  # a file that cannot be read or written
+}
 
 
 def _read_text(path: str) -> str:
@@ -97,23 +105,16 @@ def _result_document(result) -> str:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.input)
-    try:
-        if args.solver == "auto":
-            result = solve_auto(g, oracle_cap=args.oracle_cap)
-        elif args.solver == "pig":
-            result = solve_pig_dp(g)
-        elif args.solver == "tp":
-            result = solve_trivially_perfect(g)
-        elif args.solver == "bip":
-            result = solve_bipartite(g)
-        else:
-            result = solve_oracle(g, cap=args.oracle_cap)
-    except WrongClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WRONG_CLASS
-    except (OracleCapError, UnsupportedInstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    if args.solver == "auto":
+        result = solve_auto(g, oracle_cap=args.oracle_cap)
+    elif args.solver == "pig":
+        result = solve_pig_dp(g)
+    elif args.solver == "tp":
+        result = solve_trivially_perfect(g)
+    elif args.solver == "bip":
+        result = solve_bipartite(g)
+    else:
+        result = solve_oracle(g, cap=args.oracle_cap)
     print(_result_document(result))
     return EXIT_OK
 
@@ -154,14 +155,9 @@ def _parse_labeling(g: Graph, text: str) -> StrongWeakLabeling:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     lab = _parse_labeling(g, _read_text(args.labeling))
-    try:
-        witness = validate_stc(g, lab)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    witness = validate_stc(g, lab)
     if witness is not None:
-        u, v, w = witness
-        print(f"INVALID {u} {v} {w}")
+        print(f"INVALID {' '.join(witness)}")
         return EXIT_INVALID
     print(f"VALID value={lab.value}")
     return EXIT_OK
@@ -182,37 +178,32 @@ def _parse_triplets(specs: list[str]) -> tuple[frozenset[int], ...]:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        if args.kind in ("pig", "tp"):
-            if args.n is None:
-                raise ValueError(f"--n is required for kind {args.kind}")
-            if args.n < 0:
-                raise ValueError("--n must be non-negative")
-            if args.kind == "pig":
-                g = gen_random_proper_interval(args.n, seed=args.seed, density=args.density)
-            else:
-                g = gen_random_trivially_perfect(args.n, seed=args.seed)
-            sys.stdout.write(format_edge_list(g))
-            return EXIT_OK
-        if args.universe is None:
-            raise ValueError(f"--universe is required for kind {args.kind}")
-        sp = SetPackingInstance(args.universe, _parse_triplets(args.triplet))
-        si = gen_disjointnn_from_3sp(sp)
-        if args.kind == "3sp-reduction":
-            sys.stdout.write(format_edge_list(si.graph))
-            return EXIT_OK
-        inst, threshold = gen_maxstc_from_disjointnn(si)
-        sys.stdout.write(format_edge_list(inst.graph))
-        rows = [(k, threshold(k)) for k in range(len(sp.triplets) + 1)]
-        for k, t in rows:
-            sys.stdout.write(f"# threshold {k} {t}\n")
-        if args.sidecar:
-            with open(args.sidecar, "w", encoding="utf-8") as fh:
-                fh.writelines(f"{k} {t}\n" for k, t in rows)
+    if args.kind in ("pig", "tp"):
+        if args.n is None:
+            raise ValueError(f"--n is required for kind {args.kind}")
+        if args.n < 0:
+            raise ValueError("--n must be non-negative")
+        if args.kind == "pig":
+            g = gen_random_proper_interval(args.n, seed=args.seed, density=args.density)
+        else:
+            g = gen_random_trivially_perfect(args.n, seed=args.seed)
+        sys.stdout.write(format_edge_list(g))
         return EXIT_OK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.universe is None:
+        raise ValueError(f"--universe is required for kind {args.kind}")
+    sp = SetPackingInstance(args.universe, _parse_triplets(args.triplet))
+    si = gen_disjointnn_from_3sp(sp)
+    if args.kind == "3sp-reduction":
+        sys.stdout.write(format_edge_list(si.graph))
+        return EXIT_OK
+    inst, threshold = gen_maxstc_from_disjointnn(si)
+    sys.stdout.write(format_edge_list(inst.graph))
+    rows = [(k, threshold(k)) for k in range(len(sp.triplets) + 1)]
+    sys.stdout.writelines(f"# threshold {k} {t}\n" for k, t in rows)
+    if args.sidecar:
+        with open(args.sidecar, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k} {t}\n" for k, t in rows)
+    return EXIT_OK
 
 
 # the edges of each witness pattern, by index into its vertices as listed:
@@ -294,8 +285,7 @@ def _cmd_incompat(args) -> int:
     name = {e: f"{e[0]}-{e[1]}" for e in h.nodes}
     clash = sorted(x for x, k in Counter(name.values()).items() if k > 1)
     if clash:  # labels with '-' can make two edges' names equal
-        print(f"error: conflict-graph node name {clash[0]!r} names two edges", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInstanceError(f"conflict-graph node name {clash[0]!r} names two edges")
     out = Graph(
         [name[e] for e in h.nodes],
         [(name[a], name[b]) for a, b in h.conflicts],
@@ -382,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:  # unreadable or malformed input, on every command
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

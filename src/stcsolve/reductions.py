@@ -303,6 +303,8 @@ def gen_random_proper_interval(n: int, seed: int = 0, density: float = 0.5) -> G
 
     Left endpoints are drawn uniformly from a window that shrinks as density
     grows; density 1.0 collapses the window and yields a complete graph.
+    Each interval meets the ones that start at most 1.0 after it, so a scan
+    in order of left endpoint finds the m edges in O(n log n + m).
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
@@ -311,11 +313,13 @@ def gen_random_proper_interval(n: int, seed: int = 0, density: float = 0.5) -> G
     labels = [f"u{i:0{width}d}" for i in range(n)]
     spread = (1.0 - density) * n
     lefts = {v: rng.uniform(0.0, spread) for v in labels}
-    edges = [
-        (u, v)
-        for u, v in combinations(labels, 2)
-        if abs(lefts[u] - lefts[v]) <= 1.0
-    ]
+    order = sorted(labels, key=lefts.__getitem__)
+    edges = []
+    for i, u in enumerate(order):
+        j = i + 1
+        while j < n and lefts[order[j]] - lefts[u] <= 1.0:
+            edges.append((u, order[j]))
+            j += 1
     return Graph(labels, edges)
 
 

@@ -349,8 +349,14 @@ def solve_pig_dp(g: Graph) -> SolveResult:
 def find_p4_or_c4(g: Graph) -> tuple[str, tuple[str, str, str, str]] | None:
     """First induced P4 or C4 (as ("P4"|"C4", (a, b, c, d)) along the path),
     or None. Scans middles: an edge bc with a in N(b)-N[c] and d in N(c)-N[b]
-    always yields one of the two patterns on {a, b, c, d}."""
+    always yields one of the two patterns on {a, b, c, d}. A component with
+    a forest has no such edge, so its vertices are skipped."""
+    comps = g.connected_components()
+    skip = {v for c in comps if len(comps) > 1 and trivially_perfect_forest(c) is not None
+            for v in c.vertices}
     for b in g.vertices:  # edges in sorted order, without sorting them all
+        if b in skip:
+            continue
         nb = g.neighbors(b)
         for c in sorted(x for x in nb if x > b):
             nc = g.neighbors(c)
@@ -571,7 +577,9 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     union), then per component proper interval, bipartite, and finally the
     brute-force oracle under its cap. Each component goes to the class
     solvers in that order and is classified once, by the first solver that
-    accepts it. No P4 or C4 witness is searched for: nothing prints it."""
+    accepts it; one with more edges than the cap gets its own forest
+    before it is refused. No P4 or C4 witness is searched for: nothing
+    prints it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
     parent = trivially_perfect_forest(g)
@@ -591,12 +599,15 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
             except WrongClassError:
                 pass
         else:
-            if comp.m > oracle_cap:
+            if comp.m <= oracle_cap:
+                res = solve_oracle(comp, cap=oracle_cap)
+            elif (forest := trivially_perfect_forest(comp)) is not None:
+                res = _solve_on_forest(comp, forest)  # too big for the oracle
+            else:
                 raise UnsupportedInstanceError(
                     f"component with {comp.m} edges fits no class and exceeds "
                     f"the oracle cap {oracle_cap}"
                 )
-            res = solve_oracle(comp, cap=oracle_cap)
         strong |= res.labeling.strong
         tags.append(res.solver)
         per_comp[comp.vertices[0]] = res.solver

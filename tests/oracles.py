@@ -662,6 +662,19 @@ def unit_interval_edges(labels, lefts) -> list:
     return edges
 
 
+def gen_random_proper_interval_reference(n: int, seed: int = 0, density: float = 0.5):
+    """gen_random_proper_interval as it was first written: the same seeded
+    left endpoints, and every one of the n(n-1)/2 pairs of intervals tested
+    for overlap."""
+    rng = random.Random(seed)
+    width = max(len(str(max(n - 1, 0))), 2)
+    labels = [f"u{i:0{width}d}" for i in range(n)]
+    spread = (1.0 - density) * n
+    lefts = {v: rng.uniform(0.0, spread) for v in labels}
+    edges = [(u, v) for u, v in combinations(labels, 2) if abs(lefts[u] - lefts[v]) <= 1.0]
+    return Graph(labels, edges)
+
+
 def random_proper_interval_union(total: int, seed: int) -> Graph:
     """Disjoint union of small random unit interval graphs with `total`
     vertices in all; component j's labels start with its own prefix."""
