@@ -184,14 +184,14 @@ def twin_classes(g: Graph) -> TwinPartition:
 
     Two distinct vertices share a closed neighborhood exactly when they are
     adjacent and see the same vertices elsewhere (true twins), so this is the
-    true-twin partition.
+    true-twin partition. Scanning the sorted vertices into an insertion-
+    ordered dict lists the classes, and each class's members, smallest first.
     """
     by_nbhd: dict[frozenset[str], list[str]] = {}
     for v in g.vertices:
-        key = g.neighbors(v) | {v}
-        by_nbhd.setdefault(frozenset(key), []).append(v)
-    classes = sorted((frozenset(c) for c in by_nbhd.values()), key=min)
-    return TwinPartition(tuple(classes), tuple(min(c) for c in classes))
+        by_nbhd.setdefault(g.neighbors(v) | {v}, []).append(v)
+    classes = by_nbhd.values()
+    return TwinPartition(tuple(map(frozenset, classes)), tuple(c[0] for c in classes))
 
 
 def contract_twins(g: Graph) -> tuple[Graph, TwinPartition, int]:

@@ -10,9 +10,8 @@ Verification checks that every closed neighbourhood is consecutive in the
 ordering, which is the umbrella property (the straight orderings of Looges
 & Olariu, Comput. Math. Appl. 1993), and the same scan yields the reaches
 the DP needs. Each sweep is partition refinement (Habib, McConnell, Paul &
-Viennot, "Lex-BFS and partition refinement", TCS 2000) and costs
-O(n + m log n), so recognition is near-linear: three sweeps, then one
-linear scan.
+Viennot, "Lex-BFS and partition refinement", TCS 2000) and costs O(n + m),
+so recognition is linear: three sweeps, then one linear scan.
 """
 
 from __future__ import annotations
@@ -99,41 +98,40 @@ def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
     into a new group just before the rest. Ties break by a priority order:
     label order on the first sweep, latest position in `prev` afterwards
     (the classic plus-rule). Because every split is stable, each group lists
-    its members in priority order, so each adjacency list is sorted by
-    priority once and each pivot moves its unvisited neighbours in that
+    its members in priority order; the adjacency lists are built in
+    priority order, so each pivot moves its unvisited neighbours in that
     order, appending each to the front group split off its old group. A
-    pivot touches only its own adjacency list: O(n + m log n) per sweep.
+    group left empty stays linked and is dropped lazily once it reaches the
+    front. A pivot touches only its own adjacency list: O(n + m) per sweep.
     """
     order = list(g.vertices) if prev is None else list(reversed(prev))
     rank = {v: i for i, v in enumerate(order)}
     # vertices are their priority ranks from here on
-    adj = [sorted(rank[u] for u in g.neighbors(v)) for v in order]
-    n = len(order)
-    group_of = [0] * n  # group id per vertex, -1 once visited
+    adj: list[list[int]] = [[] for _ in order]
+    for i, v in enumerate(order):
+        for u in g.neighbors(v):
+            adj[rank[u]].append(i)
+    group_of = [0] * len(order)  # group id per vertex, -1 once visited
     # per group: members in priority order (stale entries of vertices that
-    # moved on are skipped lazily), first live index, live size, links
-    members: list[list[int]] = [list(range(n))]
-    head = [0]
-    size = [n]
-    before = [-1]
-    after = [-1]
-    first = 0 if n else -1
+    # moved on are skipped lazily), first index not yet skipped, links
+    members: list[list[int]] = [list(range(len(order)))]
+    head, before, after = [0], [-1], [-1]
+    first = 0
     out: list[str] = []
     while first >= 0:
-        grp = first
-        mem = members[grp]
-        i = head[grp]
-        while group_of[mem[i]] != grp:
+        mem = members[first]
+        i = head[first]
+        while i < len(mem) and group_of[mem[i]] != first:
             i += 1
+        if i == len(mem):  # no live member: drop the group
+            first = after[first]
+            if first >= 0:
+                before[first] = -1  # so no split links behind the dead group
+            continue
+        head[first] = i + 1
         v = mem[i]
-        head[grp] = i + 1
         group_of[v] = -1
         out.append(order[v])
-        size[grp] -= 1
-        if not size[grp]:
-            first = after[grp]
-            if first >= 0:
-                before[first] = -1
         split: dict[int, int] = {}  # old group -> its front part this pivot
         for w in adj[v]:
             old = group_of[w]
@@ -144,7 +142,6 @@ def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
                 new = split[old] = len(members)
                 members.append([])
                 head.append(0)
-                size.append(0)
                 prev_grp = before[old]
                 before.append(prev_grp)
                 after.append(old)
@@ -155,13 +152,6 @@ def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
                     first = new
             members[new].append(w)
             group_of[w] = new
-            size[new] += 1
-            size[old] -= 1
-            if not size[old]:
-                b, a = before[old], after[old]
-                after[b] = a  # old has its front part before it
-                if a >= 0:
-                    before[a] = b
     return out
 
 
@@ -176,7 +166,7 @@ def candidate_order(g: Graph) -> tuple[str, ...]:
     them out consecutively in smallest-label order, each swept exactly as
     on its own. On a proper interval graph the result is an umbrella
     ordering; on anything else it violates the umbrella property somewhere,
-    which makes it a useful counterexample carrier. O(n + m log n).
+    which makes it a useful counterexample carrier. O(n + m).
     """
     s1 = _lexbfs(g)
     s2 = _lexbfs(g, s1)

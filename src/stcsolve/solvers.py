@@ -587,7 +587,6 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         return _solve_on_forest(g, parent)
     t0 = time.perf_counter()
     strong: set[Edge] = set()
-    tags: list[str] = []
     per_comp: dict[str, str] = {}
     for comp in g.connected_components():
         # each class solver recognizes its input once and refuses it with
@@ -609,9 +608,9 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
                     f"the oracle cap {oracle_cap}"
                 )
         strong |= res.labeling.strong
-        tags.append(res.solver)
         per_comp[comp.vertices[0]] = res.solver
-    solver = tags[0] if len(set(tags)) == 1 else "mixed"
+    kinds = set(per_comp.values())  # not empty: the empty graph has a forest
+    solver = kinds.pop() if len(kinds) == 1 else "mixed"
     stats = {
         "components": len(per_comp),
         "component_solvers": per_comp,

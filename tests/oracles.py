@@ -9,11 +9,12 @@ None of it shares code with the package.
 import json
 import random
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from stcsolve import (
     Graph,
     ParseError,
+    TwinPartition,
     build_incompat,
     canon_edge,
     contract_twins,
@@ -246,6 +247,99 @@ def lexbfs_reference(g: Graph, vertices, prev=None) -> list[str]:
                 split.append(outs)
         groups = split
     return out
+
+
+def lexbfs_partition_reference(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
+    """One LexBFS sweep over all of g, by partition refinement, as
+    `stcsolve.ordering._lexbfs` was written with live group sizes and
+    adjacency lists sorted on every sweep.
+
+    The unvisited vertices sit in a list of groups of equal LexBFS label,
+    best label first. The next pivot is the first vertex of the first
+    group, and each pivot splits every group stably, moving its neighbours
+    into a new group just before the rest. Ties break by a priority order:
+    label order on the first sweep, latest position in `prev` afterwards
+    (the classic plus-rule). Because every split is stable, each group lists
+    its members in priority order, so each adjacency list is sorted by
+    priority once and each pivot moves its unvisited neighbours in that
+    order, appending each to the front group split off its old group. A
+    pivot touches only its own adjacency list: O(n + m log n) per sweep.
+    """
+    order = list(g.vertices) if prev is None else list(reversed(prev))
+    rank = {v: i for i, v in enumerate(order)}
+    # vertices are their priority ranks from here on
+    adj = [sorted(rank[u] for u in g.neighbors(v)) for v in order]
+    n = len(order)
+    group_of = [0] * n  # group id per vertex, -1 once visited
+    # per group: members in priority order (stale entries of vertices that
+    # moved on are skipped lazily), first live index, live size, links
+    members: list[list[int]] = [list(range(n))]
+    head = [0]
+    size = [n]
+    before = [-1]
+    after = [-1]
+    first = 0 if n else -1
+    out: list[str] = []
+    while first >= 0:
+        grp = first
+        mem = members[grp]
+        i = head[grp]
+        while group_of[mem[i]] != grp:
+            i += 1
+        v = mem[i]
+        head[grp] = i + 1
+        group_of[v] = -1
+        out.append(order[v])
+        size[grp] -= 1
+        if not size[grp]:
+            first = after[grp]
+            if first >= 0:
+                before[first] = -1
+        split: dict[int, int] = {}  # old group -> its front part this pivot
+        for w in adj[v]:
+            old = group_of[w]
+            if old < 0:
+                continue
+            new = split.get(old)
+            if new is None:
+                new = split[old] = len(members)
+                members.append([])
+                head.append(0)
+                size.append(0)
+                prev_grp = before[old]
+                before.append(prev_grp)
+                after.append(old)
+                before[old] = new
+                if prev_grp >= 0:
+                    after[prev_grp] = new
+                else:
+                    first = new
+            members[new].append(w)
+            group_of[w] = new
+            size[new] += 1
+            size[old] -= 1
+            if not size[old]:
+                b, a = before[old], after[old]
+                after[b] = a  # old has its front part before it
+                if a >= 0:
+                    before[a] = b
+    return out
+
+
+def twin_classes_reference(g: Graph) -> TwinPartition:
+    """Group vertices by closed neighborhood.
+
+    Two distinct vertices share a closed neighborhood exactly when they are
+    adjacent and see the same vertices elsewhere (true twins), so this is the
+    true-twin partition. `stcsolve.graph.twin_classes` as it was first
+    written: classes sorted by smallest member, which represents each.
+    """
+    by_nbhd: dict[frozenset[str], list[str]] = {}
+    for v in g.vertices:
+        key = g.neighbors(v) | {v}
+        by_nbhd.setdefault(frozenset(key), []).append(v)
+    classes = sorted((frozenset(c) for c in by_nbhd.values()), key=min)
+    return TwinPartition(tuple(classes), tuple(min(c) for c in classes))
 
 
 def component_vertex_sets(g: Graph) -> list[list[str]]:
