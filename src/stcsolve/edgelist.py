@@ -51,8 +51,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    isolated = sorted(v for v in g.vertices if g.degree(v) == 0)
-    lines = [f"vertex {v}" for v in isolated]
+    """The edge-list text of g; ValueError names a label that would not
+    read back as one token (empty, with whitespace or with `#`)."""
+    for v in g.vertices:
+        if v.split() != [v] or "#" in v:
+            raise ValueError(f"label {v!r} cannot be written in an edge list")
+    lines = [f"vertex {v}" for v in g.vertices if g.degree(v) == 0]
     # an edge line starting with `vertex` would read back as a declaration
     lines.extend(f"{v} {u}" if u == "vertex" else f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + ("\n" if lines else "")

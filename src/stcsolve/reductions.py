@@ -167,7 +167,7 @@ def maxstc_optimum_contracted(g: Graph) -> int:
     value-preserving (intra-class edges are always strong)."""
     cg, _tp, intra = contract_twins(g)
     h = build_incompat(cg)
-    return (_bb_max(_BitGraph(h), {"bb_states": 0}) if h.nodes else 0) + intra
+    return _bb_max(_BitGraph(h)) + intra
 
 
 def split_assignment_optimum(si: SplitInstance) -> int:

@@ -66,7 +66,8 @@ class _BitGraph:
     Internal node order is by descending conflict degree (label-lexicographic
     on ties) so the branching pivot is always the lowest set bit. A greedy
     clique cover computed once per instance supplies the upper bound: each
-    cover clique contributes at most its heaviest remaining member.
+    cover clique contributes at most its heaviest remaining member. Both
+    searches open every state with `settle`, which counts it in `states`.
     """
 
     def __init__(self, h: IncompatGraph):
@@ -86,6 +87,7 @@ class _BitGraph:
         # lexicographic scan order over internal indices
         self.lex = sorted(range(self.n), key=lambda i: self.nodes[i])
         self.cover = self._clique_cover()
+        self.states = 0
 
     def _clique_cover(self) -> list[tuple[int, list[int]]]:
         cliques: list[list[int]] = []
@@ -105,6 +107,18 @@ class _BitGraph:
             members = sorted(c, key=lambda i: -self.weight[i])
             out.append((cm, members))
         return out
+
+    def settle(self, rest: int, cur: int) -> tuple[int, int]:
+        """Count a state, then take the lowest node of `rest` into `cur` for
+        as long as it conflicts with nothing left in `rest`."""
+        self.states += 1
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            if self.adj[v] & rest:
+                break
+            cur += self.weight[v]
+            rest &= ~(1 << v)
+        return rest, cur
 
     def bound_reaches(self, rest: int, needed: int) -> bool:
         """True when the clique-cover bound on `rest` is at least `needed`."""
@@ -133,20 +147,12 @@ class _BitGraph:
         return best
 
 
-def _bb_max(bg: _BitGraph, counters: dict) -> int:
+def _bb_max(bg: _BitGraph) -> int:
     best = bg.greedy()
-    full = (1 << bg.n) - 1
 
     def dfs(rest: int, cur: int) -> None:
         nonlocal best
-        counters["bb_states"] += 1
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            if bg.adj[v] & rest == 0:  # conflict-free: always take
-                cur += bg.weight[v]
-                rest &= ~(1 << v)
-            else:
-                break
+        rest, cur = bg.settle(rest, cur)
         if not rest:
             if cur > best:
                 best = cur
@@ -157,30 +163,22 @@ def _bb_max(bg: _BitGraph, counters: dict) -> int:
         dfs(rest & ~(bg.adj[v] | (1 << v)), cur + bg.weight[v])
         dfs(rest & ~(1 << v), cur)
 
-    if bg.n:
-        dfs(full, 0)
+    dfs((1 << bg.n) - 1, 0)
     return best
 
 
-def _bb_reaches(bg: _BitGraph, rest: int, cur: int, target: int, counters: dict) -> bool:
+def _bb_reaches(bg: _BitGraph, rest: int, cur: int, target: int) -> bool:
     """Decision variant: can `cur` plus an independent set inside `rest`
     reach `target`?"""
-    counters["bb_states"] += 1
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        if bg.adj[v] & rest == 0:
-            cur += bg.weight[v]
-            rest &= ~(1 << v)
-        else:
-            break
+    rest, cur = bg.settle(rest, cur)
     if cur >= target:
         return True
     if not rest or not bg.bound_reaches(rest, target - cur):
         return False
     v = (rest & -rest).bit_length() - 1
-    if _bb_reaches(bg, rest & ~(bg.adj[v] | (1 << v)), cur + bg.weight[v], target, counters):
+    if _bb_reaches(bg, rest & ~(bg.adj[v] | (1 << v)), cur + bg.weight[v], target):
         return True
-    return _bb_reaches(bg, rest & ~(1 << v), cur, target, counters)
+    return _bb_reaches(bg, rest & ~(1 << v), cur, target)
 
 
 def brute_mwis(
@@ -194,19 +192,17 @@ def brute_mwis(
     Among all optima the lexicographically smallest node set is returned:
     after the value is known, nodes are committed in label order whenever an
     optimum containing the committed prefix still exists. Refuses graphs with
-    more than `cap` nodes unless `force` is set.
+    more than `cap` nodes unless `force` is set. When `counters` is given,
+    `counters["bb_states"]` grows by the number of search states visited.
     """
     if len(h.nodes) > cap and not force:
         raise OracleCapError(
             f"conflict graph has {len(h.nodes)} nodes, cap is {cap}"
         )
-    if counters is None:
-        counters = {"bb_states": 0}
-    counters.setdefault("bb_states", 0)
     if not h.nodes:
         return 0, frozenset()
     bg = _BitGraph(h)
-    best = _bb_max(bg, counters)
+    best = _bb_max(bg)
     chosen: list[Edge] = []
     cur = 0
     rest = (1 << bg.n) - 1
@@ -214,7 +210,7 @@ def brute_mwis(
         if not (rest >> i) & 1:
             continue
         taken = rest & ~(bg.adj[i] | (1 << i))
-        if _bb_reaches(bg, taken, cur + bg.weight[i], best, counters):
+        if _bb_reaches(bg, taken, cur + bg.weight[i], best):
             chosen.append(bg.nodes[i])
             cur += bg.weight[i]
             rest = taken
@@ -222,6 +218,8 @@ def brute_mwis(
             rest &= ~(1 << i)
     if cur != best:
         raise RuntimeError("witness extraction lost the optimum")
+    if counters is not None:
+        counters["bb_states"] = counters.get("bb_states", 0) + bg.states
     return best, frozenset(chosen)
 
 
@@ -516,7 +514,7 @@ def maximum_matching(g: Graph, colors: dict[str, int]) -> frozenset[Edge]:
     """
     match: dict[str, str] = {}
     nbrs = {u: sorted(g.neighbors(u)) for u in g.vertices if colors[u] == 0}
-    for root in sorted(nbrs):
+    for root in nbrs:  # built in g.vertices order, so sorted
         seen: set[str] = set()
         # stack[i] = (color-0 vertex, its untried neighbours); path[i] is the
         # matched neighbour stack[i] currently tries to take over

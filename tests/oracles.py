@@ -229,6 +229,8 @@ def lexbfs_reference(g: Graph, vertices, prev=None) -> list[str]:
     else:
         rank = {v: i for i, v in enumerate(prev)}
         groups = [sorted(vertices, key=lambda v: -rank[v])]
+    if not groups[0]:  # no vertices: an empty sweep
+        return []
     out = []
     while groups:
         head = groups[0]
@@ -513,6 +515,84 @@ def cograph_mwis_reference(h) -> tuple[int, frozenset]:
     if not h.nodes:
         return 0, frozenset()
     return rec(sorted(h.nodes))
+
+
+def brute_mwis_reference(h) -> tuple[int, frozenset, int]:
+    """Value, witness and visited-state count of the brute-force oracle as
+    `stcsolve.solvers` searched before both searches shared one step: each
+    search takes its own forced nodes and counts its states in a dict.
+
+    It runs on the package's `_BitGraph` for the node order, clique-cover
+    bound and greedy start, so it checks the search, not the bit graph."""
+    from stcsolve.solvers import _BitGraph
+
+    def _bb_max(bg: _BitGraph, counters: dict) -> int:
+        best = bg.greedy()
+        full = (1 << bg.n) - 1
+
+        def dfs(rest: int, cur: int) -> None:
+            nonlocal best
+            counters["bb_states"] += 1
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                if bg.adj[v] & rest == 0:  # conflict-free: always take
+                    cur += bg.weight[v]
+                    rest &= ~(1 << v)
+                else:
+                    break
+            if not rest:
+                if cur > best:
+                    best = cur
+                return
+            if not bg.bound_reaches(rest, best + 1 - cur):
+                return
+            v = (rest & -rest).bit_length() - 1
+            dfs(rest & ~(bg.adj[v] | (1 << v)), cur + bg.weight[v])
+            dfs(rest & ~(1 << v), cur)
+
+        if bg.n:
+            dfs(full, 0)
+        return best
+
+    def _bb_reaches(bg: _BitGraph, rest: int, cur: int, target: int, counters: dict) -> bool:
+        counters["bb_states"] += 1
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            if bg.adj[v] & rest == 0:
+                cur += bg.weight[v]
+                rest &= ~(1 << v)
+            else:
+                break
+        if cur >= target:
+            return True
+        if not rest or not bg.bound_reaches(rest, target - cur):
+            return False
+        v = (rest & -rest).bit_length() - 1
+        if _bb_reaches(bg, rest & ~(bg.adj[v] | (1 << v)), cur + bg.weight[v], target, counters):
+            return True
+        return _bb_reaches(bg, rest & ~(1 << v), cur, target, counters)
+
+    counters = {"bb_states": 0}
+    if not h.nodes:
+        return 0, frozenset(), counters["bb_states"]
+    bg = _BitGraph(h)
+    best = _bb_max(bg, counters)
+    chosen = []
+    cur = 0
+    rest = (1 << bg.n) - 1
+    for i in bg.lex:
+        if not (rest >> i) & 1:
+            continue
+        taken = rest & ~(bg.adj[i] | (1 << i))
+        if _bb_reaches(bg, taken, cur + bg.weight[i], best, counters):
+            chosen.append(bg.nodes[i])
+            cur += bg.weight[i]
+            rest = taken
+        else:
+            rest &= ~(1 << i)
+    if cur != best:
+        raise RuntimeError("witness extraction lost the optimum")
+    return best, frozenset(chosen), counters["bb_states"]
 
 
 def tp_strong_reference(g: Graph) -> frozenset:

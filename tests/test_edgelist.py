@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from stcsolve import Graph, ParseError, format_edge_list, parse_edge_list
@@ -67,3 +69,14 @@ def test_roundtrip_keeps_edges_of_a_vertex_labelled_vertex():
         Graph(["vertex"], []),
     ):
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_format_refuses_labels_that_would_not_read_back():
+    for label in ("#a", "a#b", "", "a b", " a", "a\tb", "a\nb"):
+        g = Graph([label, "z"], [(label, "z")])
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            format_edge_list(g)
+        with pytest.raises(ValueError):
+            format_edge_list(Graph([label]))
+    g = Graph(["vertex", "x-1", "ü", "a.b"], [("x-1", "ü")])
+    assert parse_edge_list(format_edge_list(g)) == g

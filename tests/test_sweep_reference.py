@@ -139,3 +139,9 @@ def test_twin_classes_match_the_sorting_reference():
         ref = twin_classes_reference(g)
         assert tp.classes == ref.classes, g
         assert tp.representatives == ref.representatives, g
+
+
+def test_rescanning_reference_sweeps_the_empty_graph():
+    g = Graph([])
+    assert lexbfs_reference(g, []) == lexbfs_reference(g, [], prev=[]) == []
+    assert _lexbfs(g) == _lexbfs(g, []) == []
