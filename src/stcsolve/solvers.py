@@ -61,28 +61,21 @@ def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, stats: dict,
 
 
 class _BitGraph:
-    """Bitmask view of a conflict graph, ordered for branch and bound.
-
-    Internal node order is by descending conflict degree (label-lexicographic
-    on ties) so the branching pivot is always the lowest set bit. A greedy
-    clique cover computed once per instance supplies the upper bound: each
-    cover clique contributes at most its heaviest remaining member. Both
-    searches open every state with `settle`, which counts it in `states`.
+    """Bitmask view of a conflict graph's `IncompatGraph.adjacency()`,
+    ordered for branch and bound: internal node order is by descending
+    conflict degree (label-lexicographic on ties) so the branching pivot is
+    always the lowest set bit. A greedy clique cover computed once per
+    instance supplies the upper bound: each cover clique contributes at
+    most its heaviest remaining member. Both searches open every state with
+    `settle`, which counts it in `states`.
     """
 
     def __init__(self, h: IncompatGraph):
-        deg = dict.fromkeys(h.nodes, 0)
-        for a, b in h.conflicts:
-            deg[a] += 1
-            deg[b] += 1
-        self.nodes = sorted(h.nodes, key=lambda e: (-deg[e], e))
+        nbrs = h.adjacency()
+        self.nodes = sorted(h.nodes, key=lambda e: (-len(nbrs[e]), e))
         self.weight = [h.node_weight[e] for e in self.nodes]
-        idx = {e: i for i, e in enumerate(self.nodes)}
-        self.adj = [0] * len(self.nodes)
-        for a, b in h.conflicts:
-            ia, ib = idx[a], idx[b]
-            self.adj[ia] |= 1 << ib
-            self.adj[ib] |= 1 << ia
+        bit = {e: 1 << i for i, e in enumerate(self.nodes)}
+        self.adj = [sum(map(bit.__getitem__, nbrs[e])) for e in self.nodes]
         self.n = len(self.nodes)
         # lexicographic scan order over internal indices
         self.lex = sorted(range(self.n), key=lambda i: self.nodes[i])
@@ -90,23 +83,17 @@ class _BitGraph:
         self.states = 0
 
     def _clique_cover(self) -> list[tuple[int, list[int]]]:
-        cliques: list[list[int]] = []
-        masks: list[int] = []
+        cover: list[list] = []  # [mask, members] per clique
         for i in range(self.n):
             ai = self.adj[i]
-            for c, cm in enumerate(masks):
-                if cm & ~ai == 0:  # i conflicts with every member
-                    cliques[c].append(i)
-                    masks[c] |= 1 << i
+            for c in cover:
+                if c[0] & ~ai == 0:  # i conflicts with every member
+                    c[0] |= 1 << i
+                    c[1].append(i)
                     break
             else:
-                cliques.append([i])
-                masks.append(1 << i)
-        out = []
-        for c, cm in zip(cliques, masks):
-            members = sorted(c, key=lambda i: -self.weight[i])
-            out.append((cm, members))
-        return out
+                cover.append([1 << i, [i]])
+        return [(cm, sorted(c, key=lambda i: -self.weight[i])) for cm, c in cover]
 
     def settle(self, rest: int, cur: int) -> tuple[int, int]:
         """Count a state, then take the lowest node of `rest` into `cur` for
@@ -286,11 +273,11 @@ def solve_pig_dp(g: Graph) -> SolveResult:
 
     Contract true twins, recognize an umbrella ordering of the contracted
     graph, cut the ordering into consecutive cliques of largest total
-    weight (_clique_blocks) and make every block a strong clique. The
-    result is lifted to the input (lift_labeling): an edge inside a twin
-    class is always strong, because an optimal clustering keeps true twins
-    together, and an edge between classes is strong when its contracted
-    edge is.
+    weight (_clique_blocks) and make every block a strong clique. Every
+    result is lifted to the input (lift_labeling), a twin-free input's too,
+    whose classes are single vertices: an edge inside a twin class is
+    always strong, because an optimal clustering keeps true twins together,
+    and an edge between classes is strong when its contracted edge is.
 
     Why blocks suffice: some optimum of MaxSTC on a proper interval graph
     is a partition into cliques, so MaxSTC is cluster deletion on this
@@ -325,11 +312,7 @@ def solve_pig_dp(g: Graph) -> SolveResult:
         for s in range(i, k)
         for t in range(s + 1, k)
     }
-    if cg is g:  # twin-free: the contracted strong set is already g's
-        strong = frozenset(strong_c)
-        lab = StrongWeakLabeling(strong, g.edges - strong, len(strong))
-    else:
-        lab = lift_labeling(g, tp.rep_of(), strong_c)
+    lab = lift_labeling(g, tp.rep_of(), strong_c)
     stats = {"contracted_m": cg.m, "contracted_n": cg.n, "intra_twin_value": intra,
              "time_ms": (time.perf_counter() - t0) * 1000.0}
     cert = {"ordering": list(order), "contracted_strong": sorted(strong_c),

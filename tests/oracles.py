@@ -517,6 +517,46 @@ def cograph_mwis_reference(h) -> tuple[int, frozenset]:
     return rec(sorted(h.nodes))
 
 
+def bitgraph_reference(h) -> tuple[list, list, list, list, list]:
+    """Nodes, weights, conflict bits, lexicographic scan order and clique
+    cover of the oracle's bit graph, built as `stcsolve.solvers._BitGraph`
+    built them before it read `IncompatGraph.adjacency()`: degrees and bits
+    from two scans of the conflict pairs, the cover from two parallel lists.
+    Equal to the package's view on conflict sets of canonical pairs of
+    distinct nodes."""
+    deg = dict.fromkeys(h.nodes, 0)
+    for a, b in h.conflicts:
+        deg[a] += 1
+        deg[b] += 1
+    nodes = sorted(h.nodes, key=lambda e: (-deg[e], e))
+    weight = [h.node_weight[e] for e in nodes]
+    idx = {e: i for i, e in enumerate(nodes)}
+    adj = [0] * len(nodes)
+    for a, b in h.conflicts:
+        ia, ib = idx[a], idx[b]
+        adj[ia] |= 1 << ib
+        adj[ib] |= 1 << ia
+    n = len(nodes)
+    lex = sorted(range(n), key=lambda i: nodes[i])
+    cliques: list[list[int]] = []
+    masks: list[int] = []
+    for i in range(n):
+        ai = adj[i]
+        for c, cm in enumerate(masks):
+            if cm & ~ai == 0:  # i conflicts with every member
+                cliques[c].append(i)
+                masks[c] |= 1 << i
+                break
+        else:
+            cliques.append([i])
+            masks.append(1 << i)
+    cover = []
+    for c, cm in zip(cliques, masks):
+        members = sorted(c, key=lambda i: -weight[i])
+        cover.append((cm, members))
+    return nodes, weight, adj, lex, cover
+
+
 def brute_mwis_reference(h) -> tuple[int, frozenset, int]:
     """Value, witness and visited-state count of the brute-force oracle as
     `stcsolve.solvers` searched before both searches shared one step: each

@@ -106,6 +106,18 @@ def test_oracle_cap_exits_unsupported(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_negative_oracle_cap_refuses_every_graph_that_reaches_the_oracle(tmp_path, capsys):
+    c5 = write(tmp_path, "c5.txt", "a b\nb c\nc d\nd e\ne a\n")
+    empty = write(tmp_path, "empty.txt", "")
+    cases = [
+        ((c5,), "component with 5 edges fits no class and exceeds the oracle cap -1"),
+        ((c5, "--solver", "oracle"), "conflict graph has 5 nodes, cap is -1"),
+        ((empty, "--solver", "oracle"), "conflict graph has 0 nodes, cap is -1"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, "solve", *argv, "--oracle-cap", "-1") == (4, "", f"error: {message}\n")
+
+
 def test_malformed_input_exits_two(tmp_path, capsys):
     gpath = write(tmp_path, "g.txt", "a b c\n")
     code, _, err = run(capsys, "solve", gpath)

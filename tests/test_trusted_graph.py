@@ -149,6 +149,26 @@ def test_twin_free_solve_equals_the_lift():
     assert seen > 20
 
 
+def test_every_pig_solve_lifts_once(monkeypatch):
+    import stcsolve.solvers as solvers
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift_labeling(*args)
+
+    monkeypatch.setattr(solvers, "lift_labeling", counted)
+    path = Graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
+    assert contract_twins(path)[0] is path  # twin-free
+    assert solve_pig_dp(path).value == 2
+    assert len(calls) == 1
+    g, _ = planted_twin_graph(0)
+    assert contract_twins(g)[0].n < g.n  # has twins
+    solve_pig_dp(g)
+    assert len(calls) == 2
+
+
 def test_public_constructor_still_checks_everything():
     bad = [
         (["a", "a"], [], None, "duplicate vertex labels"),
