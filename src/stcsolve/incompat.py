@@ -32,8 +32,13 @@ class IncompatGraph:
     conflicts: frozenset[ConflictPair]
 
     def adjacency(self) -> dict[Edge, set[Edge]]:
+        """Each node's set of conflicting nodes, in O(nodes + conflicts).
+        Raises ValueError naming a conflict pair that is not two distinct
+        nodes."""
         adj: dict[Edge, set[Edge]] = {e: set() for e in self.nodes}
         for a, b in self.conflicts:
+            if a == b or a not in adj or b not in adj:
+                raise ValueError(f"conflict pair {(a, b)} is not two distinct nodes")
             adj[a].add(b)
             adj[b].add(a)
         return adj

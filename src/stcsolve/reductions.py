@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .graph import Graph, canon_edge, contract_twins
+from .graph import Graph, contract_twins
 from .incompat import build_incompat
 from .solvers import _BitGraph, _bb_max
 
@@ -41,24 +41,27 @@ class SetPackingInstance:
 
 @dataclass(frozen=True)
 class SplitInstance:
-    """A graph with a verified split partition."""
+    """A graph with a verified split partition: the sides partition the
+    vertices into a clique and an edgeless set. The check counts each
+    vertex's neighbours in its own side, O(n + m); a failure names the first
+    offending pair in label order (its first vertex's smallest partner)."""
 
     graph: Graph
     clique_side: frozenset[str]
     independent_side: frozenset[str]
 
     def __post_init__(self):
-        vs = set(self.graph.vertices)
-        if self.clique_side | self.independent_side != vs or (
-            self.clique_side & self.independent_side
-        ):
+        g, cs, ins = self.graph, self.clique_side, self.independent_side
+        if cs | ins != set(g.vertices) or cs & ins:
             raise ValueError("sides do not partition the vertex set")
-        for u, v in combinations(sorted(self.clique_side), 2):
-            if not self.graph.has_edge(u, v):
-                raise ValueError(f"clique side misses edge ({u}, {v})")
-        for u, v in combinations(sorted(self.independent_side), 2):
-            if self.graph.has_edge(u, v):
-                raise ValueError(f"independent side contains edge ({u}, {v})")
+        for v in g.vertices:  # sorted
+            if v in cs and len(g.neighbors(v) & cs) < len(cs) - 1:
+                u = min(cs - g.neighbors(v) - {v})
+                raise ValueError(f"clique side misses edge ({v}, {u})")
+        for v in g.vertices:
+            if v in ins and not g.neighbors(v).isdisjoint(ins):
+                u = min(g.neighbors(v) & ins)
+                raise ValueError(f"independent side contains edge ({v}, {u})")
 
 
 def gen_disjointnn_from_3sp(sp: SetPackingInstance) -> SplitInstance:
@@ -67,10 +70,9 @@ def gen_disjointnn_from_3sp(sp: SetPackingInstance) -> SplitInstance:
     except its own three elements."""
     cs = [f"c{i}" for i in range(1, sp.n + 1)]
     ws = [f"w{i}" for i in range(1, len(sp.triplets) + 1)]
-    label = {i: f"c{i}" for i in range(1, sp.n + 1)}
     edges = [(u, v) for u, v in combinations(cs, 2)]
     for w, t in zip(ws, sp.triplets):
-        missing = {label[x] for x in t}
+        missing = {cs[x - 1] for x in t}
         edges.extend((w, c) for c in cs if c not in missing)
     g = Graph(cs + ws, edges)
     return SplitInstance(g, frozenset(cs), frozenset(ws))
@@ -84,6 +86,16 @@ def nonneighborhoods(si: SplitInstance) -> dict[str, frozenset[str]]:
     }
 
 
+def _misses_three(si: SplitInstance) -> dict[str, frozenset[str]]:
+    """nonneighborhoods(si), refusing any independent vertex that does not
+    miss exactly 3 clique vertices."""
+    nn = nonneighborhoods(si)
+    for w, miss in nn.items():
+        if len(miss) != 3:
+            raise ValueError(f"{w} misses {len(miss)} clique vertices, expected 3")
+    return nn
+
+
 def brute_disjointnn(si: SplitInstance, cap: int = 20) -> tuple[int, frozenset[str]]:
     """Largest set of independent-side vertices with pairwise disjoint
     non-neighborhoods, by depth-first search over the independent side.
@@ -91,10 +103,7 @@ def brute_disjointnn(si: SplitInstance, cap: int = 20) -> tuple[int, frozenset[s
     Requires every non-neighborhood to have exactly 3 vertices and at most
     `cap` independent vertices.
     """
-    nn = nonneighborhoods(si)
-    for w, miss in nn.items():
-        if len(miss) != 3:
-            raise ValueError(f"{w} misses {len(miss)} clique vertices, expected 3")
+    nn = _misses_three(si)
     ws = sorted(si.independent_side)
     if len(ws) > cap:
         raise ValueError(f"{len(ws)} independent vertices exceed the cap {cap}")
@@ -128,10 +137,7 @@ def gen_maxstc_from_disjointnn(
     Refuses instances where some independent vertex does not miss exactly 3
     clique vertices, and label collisions with the y/x scheme.
     """
-    nn = nonneighborhoods(si)
-    for w, miss in nn.items():
-        if len(miss) != 3:
-            raise ValueError(f"{w} misses {len(miss)} clique vertices, expected 3")
+    _misses_three(si)
     n = len(si.clique_side)
     ys = [f"y{i}" for i in range(1, n + 1)]
     xs = [f"x{i}" for i in range(1, n + 1)]
@@ -190,10 +196,7 @@ def split_assignment_optimum(si: SplitInstance) -> int:
     g = si.graph
     if not g.is_unit_weight():
         raise ValueError("split assignment search expects unit weights")
-    non = {
-        u: frozenset(si.clique_side - g.neighbors(u))
-        for u in si.independent_side
-    }
+    non = nonneighborhoods(si)
 
     # assign first the clique vertices that cheap options kill into, so the
     # bound charges those kills exactly instead of halving them

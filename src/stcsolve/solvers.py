@@ -47,8 +47,11 @@ class SolveResult:
     certificate: dict = field(default_factory=dict)
 
 
-def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, stats: dict,
+def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, t0: float, stats: dict,
             certificate: dict) -> SolveResult:
+    """Stamp stats["time_ms"], the time since the solver's t0, then validate
+    the labeling and wrap it as the solver's result."""
+    stats["time_ms"] = (time.perf_counter() - t0) * 1000.0
     witness = validate_stc(g, lab)
     if witness is not None:
         raise RuntimeError(f"{solver} produced an invalid labeling, wedge {witness}")
@@ -217,18 +220,12 @@ def solve_oracle(
     edge count fits under the cap."""
     t0 = time.perf_counter()
     h = build_incompat(g)
-    counters = {"bb_states": 0}
-    value, sset = brute_mwis(h, cap, force, counters)
+    stats = {"nodes": len(h.nodes), "conflicts": len(h.conflicts), "bb_states": 0}
+    value, sset = brute_mwis(h, cap, force, stats)
     lab = StrongWeakLabeling.from_strong(g, sset)  # _finish validates it
     assert lab.value == value
-    stats = {
-        "nodes": len(h.nodes),
-        "conflicts": len(h.conflicts),
-        "bb_states": counters["bb_states"],
-        "time_ms": (time.perf_counter() - t0) * 1000.0,
-    }
     cert = {"independent_set": sorted(sset)}
-    return _finish(g, lab, "oracle", stats, cert)
+    return _finish(g, lab, "oracle", t0, stats, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +310,10 @@ def solve_pig_dp(g: Graph) -> SolveResult:
         for t in range(s + 1, k)
     }
     lab = lift_labeling(g, tp.rep_of(), strong_c)
-    stats = {"contracted_m": cg.m, "contracted_n": cg.n, "intra_twin_value": intra,
-             "time_ms": (time.perf_counter() - t0) * 1000.0}
+    stats = {"contracted_m": cg.m, "contracted_n": cg.n, "intra_twin_value": intra}
     cert = {"ordering": list(order), "contracted_strong": sorted(strong_c),
             "intra_twin_value": intra}
-    result = _finish(g, lab, "pig-dp", stats, cert)
+    result = _finish(g, lab, "pig-dp", t0, stats, cert)
     assert result.value == value_c + intra
     return result
 
@@ -401,9 +397,8 @@ def _solve_on_forest(g: Graph, parent: dict[str, str | None]) -> SolveResult:
     lab = StrongWeakLabeling(strong, g.edges - strong, len(strong))
     assert lab.value == sum(best.values()) - len(best)
     cg, _tp, intra = contract_twins(g)
-    stats = {"conflict_nodes": cg.m, "contracted_n": cg.n, "intra_twin_value": intra,
-             "time_ms": (time.perf_counter() - t0) * 1000.0}
-    return _finish(g, lab, "trivially-perfect", stats, {"forest": parent})
+    stats = {"conflict_nodes": cg.m, "contracted_n": cg.n, "intra_twin_value": intra}
+    return _finish(g, lab, "trivially-perfect", t0, stats, {"forest": parent})
 
 
 def solve_trivially_perfect(g: Graph) -> SolveResult:
@@ -492,36 +487,32 @@ def maximum_matching(g: Graph, colors: dict[str, int]) -> frozenset[Edge]:
 
     Each color-0 vertex, in label order, runs one depth-first search for an
     augmenting path that tries neighbours in label order and visits each
-    color-1 vertex at most once. The search keeps an explicit stack, so the
+    color-1 vertex at most once. It keeps an explicit stack of frames (u,
+    untried, via): a color-0 vertex, its neighbours not yet tried, and the
+    matched neighbour it was reached through (None at the root), so the
     path length is not bounded by the interpreter's recursion limit.
     """
     match: dict[str, str] = {}
     nbrs = {u: sorted(g.neighbors(u)) for u in g.vertices if colors[u] == 0}
     for root in nbrs:  # built in g.vertices order, so sorted
         seen: set[str] = set()
-        # stack[i] = (color-0 vertex, its untried neighbours); path[i] is the
-        # matched neighbour stack[i] currently tries to take over
-        stack = [(root, iter(nbrs[root]))]
-        path: list[str] = []
+        stack = [(root, iter(nbrs[root]), None)]
         while stack:
-            u, untried = stack[-1]
+            u, untried, _ = stack[-1]
             for v in untried:
                 if v in seen:
                     continue
                 seen.add(v)
                 if v not in match:
                     match[v] = u
-                    for (w, _), x in zip(stack, path):
+                    for (w, _, _), (_, _, x) in zip(stack, stack[1:]):
                         match[x] = w
                     stack.clear()
                     break
-                path.append(v)
-                stack.append((match[v], iter(nbrs[match[v]])))
+                stack.append((match[v], iter(nbrs[match[v]]), v))
                 break
             else:
                 stack.pop()
-                if path:
-                    path.pop()
     return frozenset(canon_edge(u, v) for v, u in match.items())
 
 
@@ -535,16 +526,12 @@ def solve_bipartite(g: Graph) -> SolveResult:
     if colors is None:
         raise WrongClassError("not bipartite")
     matching = maximum_matching(g, colors)
-    stats = {
-        "matching_size": len(matching),
-        "time_ms": (time.perf_counter() - t0) * 1000.0,
-    }
+    lab = StrongWeakLabeling(matching, g.edges - matching, len(matching))
     cert = {
         "coloring": {v: colors[v] for v in g.vertices},
         "matching": sorted(matching),
     }
-    lab = StrongWeakLabeling.from_strong(g, matching)
-    return _finish(g, lab, "bipartite-matching", stats, cert)
+    return _finish(g, lab, "bipartite-matching", t0, {"matching_size": len(matching)}, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -599,5 +586,5 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     }
     # a wedge's three vertices lie in one component and each component's
     # labeling passed validate_stc in its solver, so the union is valid
-    lab = StrongWeakLabeling.from_strong(g, strong)
+    lab = StrongWeakLabeling(frozenset(strong), g.edges - strong, len(strong))
     return SolveResult(lab.value, lab, solver, stats, {"dispatch": per_comp})

@@ -1050,3 +1050,19 @@ def graph_invariant_violations(g: Graph) -> list[str]:
     out += [f"weight of {v!r} is {w!r}" for v, w in g.weights.items()
             if not isinstance(w, int) or isinstance(w, bool) or w < 1]
     return out
+
+
+def split_sides_reference(g: Graph, clique_side, independent_side) -> str | None:
+    """The message of the ValueError that `SplitInstance` raises for these
+    sides, or None when they pass, found by scanning every pair of each side
+    in label order."""
+    vs = set(g.vertices)
+    if clique_side | independent_side != vs or (clique_side & independent_side):
+        return "sides do not partition the vertex set"
+    for u, v in combinations(sorted(clique_side), 2):
+        if not g.has_edge(u, v):
+            return f"clique side misses edge ({u}, {v})"
+    for u, v in combinations(sorted(independent_side), 2):
+        if g.has_edge(u, v):
+            return f"independent side contains edge ({u}, {v})"
+    return None

@@ -2,7 +2,10 @@
 counter; value, witness and visited-state count stay those of the searches
 that each took their own forced nodes (`oracles.brute_mwis_reference`)."""
 
+import re
 from itertools import combinations
+
+import pytest
 
 from oracles import brute_mwis_reference, planted_twin_graph, random_graph
 from stcsolve import (
@@ -85,3 +88,16 @@ def test_counters_grow_by_the_states_visited():
     brute_mwis(h, counters=counters)
     assert counters == {"bb_states": 5 + brute_mwis_reference(h)[2], "other": 1}
     brute_mwis(h)  # no counters: nothing to report into
+
+
+def test_malformed_conflict_pairs_are_refused():
+    ab, bc, cd = ("a", "b"), ("b", "c"), ("c", "d")
+    weights = {ab: 1, bc: 1}
+    self_pair = IncompatGraph((ab, bc), weights, frozenset({(ab, ab)}))
+    stray_pair = IncompatGraph((ab, bc), weights, frozenset({(ab, cd)}))
+    for h, pair in ((self_pair, (ab, ab)), (stray_pair, (ab, cd))):
+        msg = re.escape(f"conflict pair {pair} is not two distinct nodes")
+        with pytest.raises(ValueError, match=msg):
+            h.adjacency()
+        with pytest.raises(ValueError, match=msg):
+            brute_mwis(h)
