@@ -49,12 +49,14 @@ class IncompatGraph:
 
 
 def build_incompat(g: Graph) -> IncompatGraph:
+    """The conflict graph of g, nodes in edge order. Neighbours are paired
+    in set order: `canon_pair` orders each pair and the conflicts form a
+    set, so that order never shows."""
     nodes = tuple(sorted(g.edges))
     weights = {e: g.weights[e[0]] * g.weights[e[1]] for e in nodes}
     conflicts: set[ConflictPair] = set()
     for v in g.vertices:
-        ns = sorted(g.neighbors(v))
-        for u, w in combinations(ns, 2):
+        for u, w in combinations(g.neighbors(v), 2):
             if not g.has_edge(u, w):
                 conflicts.add(canon_pair(canon_edge(u, v), canon_edge(v, w)))
     return IncompatGraph(nodes, weights, frozenset(conflicts))

@@ -93,43 +93,43 @@ def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
     """One LexBFS sweep over all of g, by partition refinement.
 
     The unvisited vertices sit in a list of groups of equal LexBFS label,
-    best label first. The next pivot is the first vertex of the first
-    group, and each pivot splits every group stably, moving its neighbours
-    into a new group just before the rest. Ties break by a priority order:
-    label order on the first sweep, latest position in `prev` afterwards
-    (the classic plus-rule). Because every split is stable, each group lists
-    its members in priority order; the adjacency lists are built in
-    priority order, so each pivot moves its unvisited neighbours in that
-    order, appending each to the front group split off its old group. A
-    group left empty stays linked and is dropped lazily once it reaches the
+    best label first. The next pivot is the top vertex of the first group,
+    and each pivot splits every group stably, moving its neighbours into a
+    new group just before the rest. Ties break by a priority order: label
+    order on the first sweep, latest position in `prev` afterwards (the
+    classic plus-rule). Each group is a stack in falling priority, its top
+    the next pivot: the adjacency lists are built in falling priority, so
+    each pivot pushes its unvisited neighbours in that order onto the front
+    group split off their old group, which keeps every split stable. An
+    entry whose vertex moved on is stale and popped when it reaches the
+    top; a group with no live entry left is dropped once it reaches the
     front. A pivot touches only its own adjacency list: O(n + m) per sweep.
     """
     order = list(g.vertices) if prev is None else list(reversed(prev))
+    n = len(order)
     rank = {v: i for i, v in enumerate(order)}
     # vertices are their priority ranks from here on
     adj: list[list[int]] = [[] for _ in order]
-    for i, v in enumerate(order):
+    for i, v in zip(range(n - 1, -1, -1), reversed(order)):
         for u in g.neighbors(v):
             adj[rank[u]].append(i)
-    group_of = [0] * len(order)  # group id per vertex, -1 once visited
-    # per group: members in priority order (stale entries of vertices that
-    # moved on are skipped lazily), first index not yet skipped, links
-    members: list[list[int]] = [list(range(len(order)))]
-    head, before, after = [0], [-1], [-1]
+    group_of = [0] * n  # group id per vertex, -1 once visited
+    # per group: a stack of members, top first in priority; links
+    members: list[list[int]] = [list(range(n - 1, -1, -1))]
+    before, after = [-1], [-1]
     first = 0
     out: list[str] = []
     while first >= 0:
         mem = members[first]
-        i = head[first]
-        while i < len(mem) and group_of[mem[i]] != first:
-            i += 1
-        if i == len(mem):  # no live member: drop the group
+        while mem:
+            v = mem.pop()
+            if group_of[v] == first:
+                break
+        else:  # no live member: drop the group
             first = after[first]
             if first >= 0:
                 before[first] = -1  # so no split links behind the dead group
             continue
-        head[first] = i + 1
-        v = mem[i]
         group_of[v] = -1
         out.append(order[v])
         split: dict[int, int] = {}  # old group -> its front part this pivot
@@ -141,7 +141,6 @@ def _lexbfs(g: Graph, prev: Sequence[str] | None = None) -> list[str]:
             if new is None:
                 new = split[old] = len(members)
                 members.append([])
-                head.append(0)
                 prev_grp = before[old]
                 before.append(prev_grp)
                 after.append(old)

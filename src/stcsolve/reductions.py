@@ -23,11 +23,10 @@ from .solvers import _BitGraph, _bb_max
 
 @dataclass(frozen=True)
 class SetPackingInstance:
-    """Universe 1..n with a family of 3-element subsets and a target size."""
+    """Universe 1..n with a family of 3-element subsets."""
 
     n: int
     triplets: tuple[frozenset[int], ...]
-    k: int = 0
 
     def __post_init__(self):
         if self.n < 0:

@@ -10,7 +10,6 @@ perfect, and bipartite inputs respectively, and refuse anything else.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, canon_edge, contract_twins
@@ -182,16 +181,18 @@ def brute_mwis(
     Among all optima the lexicographically smallest node set is returned:
     after the value is known, nodes are committed in label order whenever an
     optimum containing the committed prefix still exists. Refuses graphs with
-    more than `cap` nodes unless `force` is set. When `counters` is given,
-    `counters["bb_states"]` grows by the number of search states visited.
+    more than `cap` nodes unless `force` is set, and raises ValueError on a
+    malformed conflict pair even when there are no nodes. When `counters`
+    is given, `counters["bb_states"]` grows by the number of search states
+    visited.
     """
     if len(h.nodes) > cap and not force:
         raise OracleCapError(
             f"conflict graph has {len(h.nodes)} nodes, cap is {cap}"
         )
-    if not h.nodes:
-        return 0, frozenset()
     bg = _BitGraph(h)
+    if not bg.n:
+        return 0, frozenset()
     best = _bb_max(bg)
     chosen: list[Edge] = []
     cur = 0
@@ -448,9 +449,8 @@ def _color_or_odd_cycle(g: Graph) -> dict[str, int] | list[str]:
             continue
         colors[v] = 0
         parent[v] = None
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
+        queue = [v]
+        for x in queue:
             for y in sorted(g.neighbors(x)):
                 if y not in colors:
                     colors[y] = 1 - colors[x]

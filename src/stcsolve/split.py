@@ -142,8 +142,6 @@ def _in_some_quad(g: Graph, a: str) -> bool:
     for x, y in g.edges:
         if x == a or y == a or x in na or y in na:
             continue
-        if len(shared.get(x, ())) + len(shared.get(y, ())) < len(na):
-            return True
         nx, ny = g.neighbors(x), g.neighbors(y)
         if any(u not in nx and u not in ny for u in na):
             return True

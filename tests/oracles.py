@@ -8,11 +8,13 @@ None of it shares code with the package.
 
 import json
 import random
+from collections import deque
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from stcsolve import (
     Graph,
+    IncompatGraph,
     ParseError,
     TwinPartition,
     build_incompat,
@@ -21,7 +23,7 @@ from stcsolve import (
     recognize,
     trivially_perfect_forest,
 )
-from stcsolve.incompat import lift_labeling
+from stcsolve.incompat import canon_pair, lift_labeling
 
 
 def strong_set_valid(g: Graph, strong) -> bool:
@@ -1066,3 +1068,42 @@ def split_sides_reference(g: Graph, clique_side, independent_side) -> str | None
         if g.has_edge(u, v):
             return f"independent side contains edge ({u}, {v})"
     return None
+
+
+def build_incompat_reference(g: Graph) -> IncompatGraph:
+    """The conflict graph built with each vertex's neighbours sorted before
+    they are paired: the build `stcsolve.incompat` used while it sorted."""
+    nodes = tuple(sorted(g.edges))
+    weights = {e: g.weights[e[0]] * g.weights[e[1]] for e in nodes}
+    conflicts = set()
+    for v in g.vertices:
+        for u, w in combinations(sorted(g.neighbors(v)), 2):
+            if not g.has_edge(u, w):
+                conflicts.add(canon_pair(canon_edge(u, v), canon_edge(v, w)))
+    return IncompatGraph(nodes, weights, frozenset(conflicts))
+
+
+def color_or_odd_cycle_reference(g: Graph) -> dict | list:
+    """Breadth-first 2-coloring with a `deque` queue, components and
+    neighbours in label order: the coloring, or at the first edge inside one
+    color class the odd cycle through it, the two BFS ancestries walked to
+    their meeting point."""
+    colors, parent = {}, {}
+    for v in g.vertices:
+        if v in colors:
+            continue
+        colors[v], parent[v] = 0, None
+        queue = deque([v])
+        while queue:
+            x = queue.popleft()
+            for y in sorted(g.neighbors(x)):
+                if y not in colors:
+                    colors[y], parent[y] = 1 - colors[x], x
+                    queue.append(y)
+                elif colors[y] == colors[x]:
+                    up_x, up_y = [x], [y]
+                    while up_x[-1] != up_y[-1]:
+                        up_x.append(parent[up_x[-1]])
+                        up_y.append(parent[up_y[-1]])
+                    return up_x + up_y[-2::-1]
+    return colors

@@ -1,0 +1,95 @@
+"""Print one digest line per command-line run over the benchmark's instances,
+so that two source trees can be checked for identical behaviour.
+
+    python3 tests/stdout_sweep.py path/to/src > sweep.txt
+
+The instances are batches 0-1 of seeds 1-2 of every workload, built by
+perfbench/workloads.py of this checkout; `stcsolve` is imported from the
+given `src` directory. Every graph that the benchmark solves runs through
+`solve` (auto and each `--solver`), `recognize` and `incompat`; every
+recognize and verify operation of `check` runs as it is, verify with the
+labeling document the benchmark writes. Each line holds the workload, seed,
+batch, operation index, the command and its arguments without file paths,
+and the sha256 of the exit code, stdout and stderr. Diff the output of two
+trees: equal files mean equal behaviour on every run. Not a pytest module.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, build_batch  # noqa: E402
+
+SEEDS = (1, 2)
+BATCHES = (0, 1)
+SOLVE_RUNS = (
+    ["solve"],
+    ["solve", "--solver", "pig"],
+    ["solve", "--solver", "tp"],
+    ["solve", "--solver", "bip"],
+    ["solve", "--solver", "oracle"],
+    ["recognize"],
+    ["incompat"],
+)
+
+
+def digest(cli, argv: list[str], tmp: str) -> str:
+    """sha256 of the exit code, stdout and stderr of one run, with the
+    temporary directory's path masked; an escaping exception stands in
+    for the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(argv))
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    text = "\0".join((code, out.getvalue(), err.getvalue())).replace(tmp, "<tmp>")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def runs(op, graph: Path) -> list[tuple[list[str], list[str]]]:
+    """(shown arguments, full argv) of each run of one operation."""
+    if op.kind == "solve":
+        return [(a, [a[0], str(graph)] + a[1:]) for a in SOLVE_RUNS]
+    if op.kind == "recognize":
+        return [(["recognize"], ["recognize", str(graph)])]
+    strong = sorted(op.strong)
+    doc = {"strong": [list(e) for e in strong],
+           "weak": [list(e) for e in sorted(set(op.inst.edges) - op.strong)]}
+    if not op.planted:
+        doc["value"] = len(strong)
+    labeling = graph.with_suffix(".json")
+    labeling.write_text(json.dumps(doc), encoding="utf-8")
+    return [(["verify"], ["verify", str(graph), str(labeling)])]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    from stcsolve import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                for batch in BATCHES:
+                    for k, op in enumerate(build_batch(workload, seed, batch)):
+                        graph = Path(tmp) / f"{k}.txt"
+                        graph.write_text(op.inst.edge_list_text(), encoding="utf-8")
+                        for shown, full in runs(op, graph):
+                            print(workload, seed, batch, k, *shown, digest(cli, full, tmp))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

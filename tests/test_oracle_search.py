@@ -12,6 +12,7 @@ from stcsolve import (
     DEFAULT_ORACLE_CAP,
     Graph,
     IncompatGraph,
+    OracleCapError,
     brute_mwis,
     build_incompat,
     contract_twins,
@@ -101,3 +102,16 @@ def test_malformed_conflict_pairs_are_refused():
             h.adjacency()
         with pytest.raises(ValueError, match=msg):
             brute_mwis(h)
+
+
+def test_conflict_pairs_are_checked_with_no_nodes():
+    ab, bc = ("a", "b"), ("b", "c")
+    h = IncompatGraph((), {}, frozenset({(ab, bc)}))
+    msg = re.escape(f"conflict pair {(ab, bc)} is not two distinct nodes")
+    with pytest.raises(ValueError, match=msg):
+        brute_mwis(h)
+    counters = {"bb_states": 0}
+    assert brute_mwis(IncompatGraph((), {}, frozenset()), counters=counters) == (0, frozenset())
+    assert counters == {"bb_states": 0}
+    with pytest.raises(OracleCapError):
+        brute_mwis(IncompatGraph((ab,), {ab: 1}, frozenset({(ab, ab)})), cap=0)
