@@ -32,7 +32,7 @@ from .solvers import (
     DEFAULT_ORACLE_CAP,
     UnsupportedInstanceError,
     WrongClassError,
-    find_odd_cycle,
+    _color_or_odd_cycle,
     find_p4_or_c4,
     solve_auto,
     solve_bipartite,
@@ -40,7 +40,6 @@ from .solvers import (
     solve_pig_dp,
     solve_trivially_perfect,
     trivially_perfect_forest,
-    two_coloring,
 )
 from .split import find_split_obstruction, split_partition
 
@@ -246,19 +245,18 @@ def _cmd_recognize(args) -> int:
             raise RuntimeError("reported quadruple is not the claimed subgraph")
         print(f"trivially-perfect: no (induced {kind}: {' '.join(four)})")
 
-    colors = two_coloring(g)
-    if colors is not None:
-        bad = [(u, v) for u, v in g.edges if colors[u] == colors[v]]
+    found = _color_or_odd_cycle(g)  # a coloring, or else an odd cycle
+    if isinstance(found, dict):
+        bad = [(u, v) for u, v in g.edges if found[u] == found[v]]
         if bad:
             raise RuntimeError(f"2-coloring leaves monochromatic edges {bad}")
-        zero = " ".join(v for v in g.vertices if colors[v] == 0)
-        one = " ".join(v for v in g.vertices if colors[v] == 1)
+        zero = " ".join(v for v in g.vertices if found[v] == 0)
+        one = " ".join(v for v in g.vertices if found[v] == 1)
         print(f"bipartite: yes (sides: {zero} | {one})")
     else:
-        cycle = find_odd_cycle(g)
+        cycle = found
         if (
-            cycle is None
-            or len(cycle) % 2 == 0
+            len(cycle) % 2 == 0
             or not all(
                 g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)])
                 for i in range(len(cycle))

@@ -327,8 +327,9 @@ def solve_pig_dp(g: Graph) -> SolveResult:
 def find_p4_or_c4(g: Graph) -> tuple[str, tuple[str, str, str, str]] | None:
     """First induced P4 or C4 (as ("P4"|"C4", (a, b, c, d)) along the path),
     or None. Scans middles: an edge bc with a in N(b)-N[c] and d in N(c)-N[b]
-    always yields one of the two patterns on {a, b, c, d}. A component with
-    a forest has no such edge, so its vertices are skipped."""
+    always yields one of the two patterns on {a, b, c, d}; a and d exist
+    unless N[b] and N[c] nest, a test at the smaller degree. A component
+    with a forest has no such edge, so its vertices are skipped."""
     comps = g.connected_components()
     skip = {v for c in comps if len(comps) > 1 and trivially_perfect_forest(c) is not None
             for v in c.vertices}
@@ -338,11 +339,11 @@ def find_p4_or_c4(g: Graph) -> tuple[str, tuple[str, str, str, str]] | None:
         nb = g.neighbors(b)
         for c in sorted(x for x in nb if x > b):
             nc = g.neighbors(c)
-            left = nb - nc - {c}
-            right = nc - nb - {b}
-            if left and right:
-                a, d = min(left), min(right)
-                return ("C4" if g.has_edge(a, d) else "P4", (a, b, c, d))
+            small, large = (nc, nb) if len(nc) <= len(nb) else (nb, nc)
+            if len(small - large) == 1:  # only the other end: N[b], N[c] nest
+                continue
+            a, d = min(nb - nc - {c}), min(nc - nb - {b})
+            return ("C4" if g.has_edge(a, d) else "P4", (a, b, c, d))
     return None
 
 
@@ -542,12 +543,14 @@ def solve_bipartite(g: Graph) -> SolveResult:
 def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     """Pick a solver: trivially perfect (the whole graph's forest is built
     once and solved on when it exists; the class is closed under disjoint
-    union), then per component proper interval, bipartite, and finally the
-    brute-force oracle under its cap. Each component goes to the class
-    solvers in that order and is classified once, by the first solver that
-    accepts it; one with more edges than the cap gets its own forest
-    before it is refused. No P4 or C4 witness is searched for: nothing
-    prints it."""
+    union), then per component proper interval for a path or a component
+    with an odd cycle, and the matching for every other one: a connected
+    bipartite graph is proper interval exactly when it is a path, since a
+    vertex of degree 3 or more centres a claw and a shortest cycle is an
+    induced even cycle. A component the proper interval solver refuses
+    goes to the brute-force oracle under its cap; one with more edges than
+    the cap gets its own forest before it is refused. No P4 or C4 witness
+    is searched for: nothing prints it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
     parent = trivially_perfect_forest(g)
@@ -557,15 +560,12 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     strong: set[Edge] = set()
     per_comp: dict[str, str] = {}
     for comp in g.connected_components():
-        # each class solver recognizes its input once and refuses it with
-        # WrongClassError, so trying them in turn classifies the component
-        for route in (solve_pig_dp, solve_bipartite):
-            try:
-                res = route(comp)
-                break
-            except WrongClassError:
-                pass
-        else:
+        # a bipartite non-path holds a claw or an induced even cycle: not PIG
+        path = comp.m < comp.n and all(comp.degree(v) <= 2 for v in comp.vertices)
+        route = solve_pig_dp if path or two_coloring(comp) is None else solve_bipartite
+        try:
+            res = route(comp)
+        except WrongClassError:  # only solve_pig_dp refuses, on an odd cycle
             if comp.m <= oracle_cap:
                 res = solve_oracle(comp, cap=oracle_cap)
             elif (forest := trivially_perfect_forest(comp)) is not None:

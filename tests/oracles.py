@@ -16,14 +16,22 @@ from stcsolve import (
     Graph,
     IncompatGraph,
     ParseError,
+    SolveResult,
+    StrongWeakLabeling,
     TwinPartition,
+    UnsupportedInstanceError,
+    WrongClassError,
     build_incompat,
     canon_edge,
     contract_twins,
     recognize,
+    solve_bipartite,
+    solve_oracle,
+    solve_pig_dp,
     trivially_perfect_forest,
 )
 from stcsolve.incompat import canon_pair, lift_labeling
+from stcsolve.solvers import _solve_on_forest
 
 
 def strong_set_valid(g: Graph, strong) -> bool:
@@ -1107,3 +1115,39 @@ def color_or_odd_cycle_reference(g: Graph) -> dict | list:
                         up_y.append(parent[up_y[-1]])
                     return up_x + up_y[-2::-1]
     return colors
+
+
+def solve_auto_reference(g: Graph, oracle_cap: int):
+    """solve_auto as it dispatched before each component got one route:
+    the whole graph's forest first, then every component tried on the
+    proper interval solver and then on the matching, each refusing with
+    WrongClassError, and the oracle under its cap or the component's own
+    forest after both refused."""
+    parent = trivially_perfect_forest(g)
+    if parent is not None:
+        return _solve_on_forest(g, parent)
+    strong, per_comp = set(), {}
+    for comp in g.connected_components():
+        for route in (solve_pig_dp, solve_bipartite):
+            try:
+                res = route(comp)
+                break
+            except WrongClassError:
+                pass
+        else:
+            if comp.m <= oracle_cap:
+                res = solve_oracle(comp, cap=oracle_cap)
+            elif (forest := trivially_perfect_forest(comp)) is not None:
+                res = _solve_on_forest(comp, forest)
+            else:
+                raise UnsupportedInstanceError(
+                    f"component with {comp.m} edges fits no class and exceeds "
+                    f"the oracle cap {oracle_cap}"
+                )
+        strong |= res.labeling.strong
+        per_comp[comp.vertices[0]] = res.solver
+    kinds = set(per_comp.values())
+    solver = kinds.pop() if len(kinds) == 1 else "mixed"
+    stats = {"components": len(per_comp), "component_solvers": per_comp}
+    lab = StrongWeakLabeling(frozenset(strong), g.edges - strong, len(strong))
+    return SolveResult(lab.value, lab, solver, stats, {"dispatch": per_comp})

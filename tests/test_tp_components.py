@@ -73,3 +73,16 @@ def test_p4_c4_search_skips_a_large_threshold_component():
     found = find_p4_or_c4(g)
     assert time.perf_counter() - start < 2.0
     assert found == ("P4", ("z1", "z2", "z3", "z4"))
+
+
+def test_p4_c4_search_tests_each_edge_at_its_smaller_degree():
+    """The same threshold graph with z1 joined to h0064, plus z1-z2: the
+    witness lies in the threshold graph's large component, so the skip
+    cannot help, and each edge bc must cost only the smaller degree."""
+    t, _parent = threshold_graph(1000, 1)
+    g = Graph(list(t.vertices) + ["z1", "z2"],
+              list(t.edges) + [("z1", "h0064"), ("z1", "z2")])
+    start = time.perf_counter()
+    found = find_p4_or_c4(g)
+    assert time.perf_counter() - start < 1.0
+    assert found == ("P4", ("z1", "h0064", "h0582", "h0000"))
