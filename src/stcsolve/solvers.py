@@ -517,22 +517,24 @@ def maximum_matching(g: Graph, colors: dict[str, int]) -> frozenset[Edge]:
     return frozenset(canon_edge(u, v) for v, u in match.items())
 
 
+def _solve_on_coloring(g: Graph, colors: dict[str, int]) -> SolveResult:
+    """solve_bipartite on g's 2-coloring, once it is made."""
+    t0 = time.perf_counter()
+    matching = maximum_matching(g, colors)
+    lab = StrongWeakLabeling(matching, g.edges - matching, len(matching))
+    cert = {"coloring": {v: colors[v] for v in g.vertices}, "matching": sorted(matching)}
+    return _finish(g, lab, "bipartite-matching", t0, {"matching_size": len(matching)}, cert)
+
+
 def solve_bipartite(g: Graph) -> SolveResult:
-    """Polynomial solve for bipartite graphs: the optimum is a maximum
-    matching (no triangles means any two adjacent strong edges conflict)."""
+    """Polynomial solve for bipartite graphs, by _solve_on_coloring: the optimum
+    is a maximum matching (no triangles: any two adjacent strong edges conflict)."""
     if not g.is_unit_weight():
         raise ValueError("solve_bipartite expects a unit-weight graph")
-    t0 = time.perf_counter()
     colors = two_coloring(g)
     if colors is None:
         raise WrongClassError("not bipartite")
-    matching = maximum_matching(g, colors)
-    lab = StrongWeakLabeling(matching, g.edges - matching, len(matching))
-    cert = {
-        "coloring": {v: colors[v] for v in g.vertices},
-        "matching": sorted(matching),
-    }
-    return _finish(g, lab, "bipartite-matching", t0, {"matching_size": len(matching)}, cert)
+    return _solve_on_coloring(g, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +549,11 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     with an odd cycle, and the matching for every other one: a connected
     bipartite graph is proper interval exactly when it is a path, since a
     vertex of degree 3 or more centres a claw and a shortest cycle is an
-    induced even cycle. A component the proper interval solver refuses
-    goes to the brute-force oracle under its cap; one with more edges than
-    the cap gets its own forest before it is refused. No P4 or C4 witness
-    is searched for: nothing prints it."""
+    induced even cycle. A component that is not a path is 2-colored once
+    and the matching reads that coloring (_solve_on_coloring). A component
+    the proper interval solver refuses goes to the brute-force oracle under
+    its cap; one with more edges than the cap gets its own forest before it
+    is refused. No P4 or C4 witness is searched for: nothing prints it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
     parent = trivially_perfect_forest(g)
@@ -562,9 +565,9 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     for comp in g.connected_components():
         # a bipartite non-path holds a claw or an induced even cycle: not PIG
         path = comp.m < comp.n and all(comp.degree(v) <= 2 for v in comp.vertices)
-        route = solve_pig_dp if path or two_coloring(comp) is None else solve_bipartite
+        colors = None if path else two_coloring(comp)
         try:
-            res = route(comp)
+            res = solve_pig_dp(comp) if colors is None else _solve_on_coloring(comp, colors)
         except WrongClassError:  # only solve_pig_dp refuses, on an odd cycle
             if comp.m <= oracle_cap:
                 res = solve_oracle(comp, cap=oracle_cap)

@@ -136,3 +136,26 @@ def test_only_odd_cycle_components_and_paths_reach_recognition(monkeypatch):
     assert calls == [5]
     assert res.stats["component_solvers"] == {
         "a0": "bipartite-matching", "b0": "oracle", "h": "bipartite-matching"}
+
+
+def test_each_non_path_component_is_two_colored_once(monkeypatch):
+    """C6, C5, a claw with a tail and a P4: the matching reads the coloring
+    that picked its route, and the path is not colored at all."""
+    sizes = []
+    real = solvers.two_coloring
+
+    def counting(g):
+        sizes.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(solvers, "two_coloring", counting)
+    c6 = [(f"a{i}", f"a{(i + 1) % 6}") for i in range(6)]
+    c5 = [(f"b{i}", f"b{(i + 1) % 5}") for i in range(5)]
+    claw = [("h", "x"), ("h", "y"), ("h", "z"), ("z", "t")]
+    p4 = [("p0", "p1"), ("p1", "p2"), ("p2", "p3")]
+    edges = c6 + c5 + claw + p4
+    res = solve_auto(Graph({v for e in edges for v in e}, edges))
+    assert sizes == [6, 5, 5]
+    assert res.stats["component_solvers"] == {
+        "a0": "bipartite-matching", "b0": "oracle", "h": "bipartite-matching",
+        "p0": "pig-dp"}

@@ -88,6 +88,25 @@ def test_verify_rejects_partial_labeling(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_verify_counts_only_strong_pairs_that_are_edges(tmp_path, capsys):
+    """The value counts each strong edge of the graph once, in either label
+    order; a strong pair that is no edge counts for nothing."""
+    gpath = write(tmp_path, "g.txt", P3)
+
+    def verify(strong, value):
+        lab = {"strong": strong, "weak": [["b", "c"]], "value": value}
+        return run(capsys, "verify", gpath, write(tmp_path, "lab.json", json.dumps(lab)))
+
+    with_non_edge = [["a", "b"], ["a", "c"]]
+    assert verify(with_non_edge, 1) == (
+        2, "", "error: strong and weak do not cover the edge set\n")
+    code, out, err = verify(with_non_edge, 2)
+    assert (code, out) == (2, "") and "claims value 2" in err
+    assert verify([["b", "a"]], 1) == (0, "VALID value=1\n", "")
+    code, out, err = verify([["b", "a"]], 2)
+    assert (code, out) == (2, "") and "claims value 2 but the strong edges weigh 1" in err
+
+
 def test_forced_solver_on_wrong_class(tmp_path, capsys):
     for text, solver in ((CLAW, "pig"), (C4, "tp"), (K3, "bip")):
         gpath = write(tmp_path, "g.txt", text)
