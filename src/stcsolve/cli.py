@@ -91,8 +91,7 @@ def _result_document(result) -> str:
     without that call's pure-Python encoder: the keys in sorted order, the
     pairs escaped by the same function json uses, only the small stats
     dict through json.dumps."""
-    stats = {k: v for k, v in result.stats.items() if k != "time_ms"}
-    stats_doc = json.dumps(stats, indent=2, sort_keys=True).replace("\n", "\n  ")
+    stats_doc = json.dumps(result.stats, indent=2, sort_keys=True).replace("\n", "\n  ")
     return (
         f'{{\n  "solver": {encode_basestring_ascii(result.solver)},\n'
         f'  "stats": {stats_doc},\n'
@@ -143,11 +142,11 @@ def _parse_labeling(g: Graph, text: str) -> StrongWeakLabeling:
 
     strong, weak = side("strong"), side("weak")
     value = len(strong & g.edges)  # an edge-list graph has unit weights
-    if "value" in doc and doc["value"] != value:
-        raise ParseError(
-            f"document claims value {doc['value']} but the strong edges "
-            f"weigh {value}"
-        )
+    claim = doc.get("value", value)
+    if isinstance(claim, bool) or not isinstance(claim, int):  # JSON true is not 1
+        raise ParseError(f"'value' must be an integer, not {claim!r}")
+    if claim != value:
+        raise ParseError(f"document claims value {claim} but the strong edges weigh {value}")
     return StrongWeakLabeling(strong=strong, weak=weak, value=value)
 
 

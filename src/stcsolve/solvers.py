@@ -9,8 +9,7 @@ perfect, and bipartite inputs respectively, and refuse anything else.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Edge, Graph, canon_edge, contract_twins
 from .incompat import (
@@ -42,15 +41,13 @@ class SolveResult:
     value: int
     labeling: StrongWeakLabeling
     solver: str
-    stats: dict = field(default_factory=dict)
-    certificate: dict = field(default_factory=dict)
+    stats: dict
+    certificate: dict
 
 
-def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, t0: float, stats: dict,
+def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, stats: dict,
             certificate: dict) -> SolveResult:
-    """Stamp stats["time_ms"], the time since the solver's t0, then validate
-    the labeling and wrap it as the solver's result."""
-    stats["time_ms"] = (time.perf_counter() - t0) * 1000.0
+    """Validate the labeling and wrap it as the solver's result."""
     witness = validate_stc(g, lab)
     if witness is not None:
         raise RuntimeError(f"{solver} produced an invalid labeling, wedge {witness}")
@@ -219,14 +216,13 @@ def solve_oracle(
 ) -> SolveResult:
     """Brute-force solve via the conflict graph. Works on any graph whose
     edge count fits under the cap."""
-    t0 = time.perf_counter()
     h = build_incompat(g)
     stats = {"nodes": len(h.nodes), "conflicts": len(h.conflicts), "bb_states": 0}
     value, sset = brute_mwis(h, cap, force, stats)
     lab = StrongWeakLabeling.from_strong(g, sset)  # _finish validates it
     assert lab.value == value
     cert = {"independent_set": sorted(sset)}
-    return _finish(g, lab, "oracle", t0, stats, cert)
+    return _finish(g, lab, "oracle", stats, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,6 @@ def solve_pig_dp(g: Graph) -> SolveResult:
     """
     if not g.is_unit_weight():
         raise ValueError("solve_pig_dp expects a unit-weight graph")
-    t0 = time.perf_counter()
     cg, tp, intra = contract_twins(g)
     o = recognize(cg)
     if o is None:
@@ -314,7 +309,7 @@ def solve_pig_dp(g: Graph) -> SolveResult:
     stats = {"contracted_m": cg.m, "contracted_n": cg.n, "intra_twin_value": intra}
     cert = {"ordering": list(order), "contracted_strong": sorted(strong_c),
             "intra_twin_value": intra}
-    result = _finish(g, lab, "pig-dp", t0, stats, cert)
+    result = _finish(g, lab, "pig-dp", stats, cert)
     assert result.value == value_c + intra
     return result
 
@@ -380,7 +375,6 @@ def trivially_perfect_forest(g: Graph) -> dict[str, str | None] | None:
 
 def _solve_on_forest(g: Graph, parent: dict[str, str | None]) -> SolveResult:
     """solve_trivially_perfect on g's forest, once it is built."""
-    t0 = time.perf_counter()
     best: dict[str, int] = {}  # the length of the longest chain down from v
     low = {v: v for v in parent}  # smallest label in the subtree
     pick: dict[str, str] = {}  # the child each chain continues into
@@ -400,7 +394,7 @@ def _solve_on_forest(g: Graph, parent: dict[str, str | None]) -> SolveResult:
     assert lab.value == sum(best.values()) - len(best)
     cg, _tp, intra = contract_twins(g)
     stats = {"conflict_nodes": cg.m, "contracted_n": cg.n, "intra_twin_value": intra}
-    return _finish(g, lab, "trivially-perfect", t0, stats, {"forest": parent})
+    return _finish(g, lab, "trivially-perfect", stats, {"forest": parent})
 
 
 def solve_trivially_perfect(g: Graph) -> SolveResult:
@@ -519,11 +513,10 @@ def maximum_matching(g: Graph, colors: dict[str, int]) -> frozenset[Edge]:
 
 def _solve_on_coloring(g: Graph, colors: dict[str, int]) -> SolveResult:
     """solve_bipartite on g's 2-coloring, once it is made."""
-    t0 = time.perf_counter()
     matching = maximum_matching(g, colors)
     lab = StrongWeakLabeling(matching, g.edges - matching, len(matching))
     cert = {"coloring": {v: colors[v] for v in g.vertices}, "matching": sorted(matching)}
-    return _finish(g, lab, "bipartite-matching", t0, {"matching_size": len(matching)}, cert)
+    return _finish(g, lab, "bipartite-matching", {"matching_size": len(matching)}, cert)
 
 
 def solve_bipartite(g: Graph) -> SolveResult:
@@ -559,7 +552,6 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     parent = trivially_perfect_forest(g)
     if parent is not None:
         return _solve_on_forest(g, parent)
-    t0 = time.perf_counter()
     strong: set[Edge] = set()
     per_comp: dict[str, str] = {}
     for comp in g.connected_components():
@@ -582,11 +574,7 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         per_comp[comp.vertices[0]] = res.solver
     kinds = set(per_comp.values())  # not empty: the empty graph has a forest
     solver = kinds.pop() if len(kinds) == 1 else "mixed"
-    stats = {
-        "components": len(per_comp),
-        "component_solvers": per_comp,
-        "time_ms": (time.perf_counter() - t0) * 1000.0,
-    }
+    stats = {"components": len(per_comp), "component_solvers": per_comp}
     # a wedge's three vertices lie in one component and each component's
     # labeling passed validate_stc in its solver, so the union is valid
     lab = StrongWeakLabeling(frozenset(strong), g.edges - strong, len(strong))

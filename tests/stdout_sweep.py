@@ -10,8 +10,11 @@ given `src` directory. Every graph that the benchmark solves runs through
 recognize and verify operation of `check` runs as it is, verify with the
 labeling document the benchmark writes. Each line holds the workload, seed,
 batch, operation index, the command and its arguments without file paths,
-and the sha256 of the exit code, stdout and stderr. Diff the output of two
-trees: equal files mean equal behaviour on every run. Not a pytest module.
+and the sha256 of the exit code, stdout and stderr. Every solved graph also
+goes through each library solver in LIBRARY_RUNS, one line each with the
+sha256 of the whole result (certificates never reach stdout). Diff the
+output of two trees: equal files mean equal behaviour on every run. Not a
+pytest module.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ SOLVE_RUNS = (
     ["recognize"],
     ["incompat"],
 )
+LIBRARY_RUNS = ("solve_auto", "solve_pig_dp", "solve_trivially_perfect",
+                "solve_bipartite", "solve_oracle")
 
 
 def digest(cli, argv: list[str], tmp: str) -> str:
@@ -53,6 +58,22 @@ def digest(cli, argv: list[str], tmp: str) -> str:
         except Exception as exc:
             code = f"{type(exc).__name__}: {exc}"
     text = "\0".join((code, out.getvalue(), err.getvalue())).replace(tmp, "<tmp>")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def result_digest(solve, g) -> str:
+    """sha256 of the JSON of one library result: value, sorted strong
+    edges, solver, stats and certificate, dict order included; or of the
+    exception's type and message when the call raises. A `time_ms` stat,
+    the wall clock that older trees stamped into results, is dropped so
+    their lines compare."""
+    try:
+        res = solve(g)
+        stats = {k: v for k, v in res.stats.items() if k != "time_ms"}
+        text = json.dumps([res.value, sorted(res.labeling.strong), res.solver, stats,
+                           res.certificate])
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -77,6 +98,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve()))
+    import stcsolve
     from stcsolve import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -88,6 +110,11 @@ def main(argv: list[str]) -> int:
                         graph.write_text(op.inst.edge_list_text(), encoding="utf-8")
                         for shown, full in runs(op, graph):
                             print(workload, seed, batch, k, *shown, digest(cli, full, tmp))
+                        if op.kind == "solve":
+                            g = stcsolve.parse_edge_list(op.inst.edge_list_text())
+                            for name in LIBRARY_RUNS:
+                                solve = getattr(stcsolve, name)
+                                print(workload, seed, batch, k, name, result_digest(solve, g))
     return 0
 
 

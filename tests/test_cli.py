@@ -107,6 +107,18 @@ def test_verify_counts_only_strong_pairs_that_are_edges(tmp_path, capsys):
     assert (code, out) == (2, "") and "claims value 2 but the strong edges weigh 1" in err
 
 
+def test_verify_refuses_a_value_that_is_not_an_integer(tmp_path, capsys):
+    """JSON true equals 1 in Python and "1" is a string: neither is a value,
+    whatever the strong edges weigh."""
+    gpath = write(tmp_path, "g.txt", P3)
+    for claim in (True, "1", None):
+        lab = {"strong": [["a", "b"]], "weak": [["b", "c"]], "value": claim}
+        lpath = write(tmp_path, "lab.json", json.dumps(lab))
+        code, out, err = run(capsys, "verify", gpath, lpath)
+        assert (code, out) == (2, ""), claim
+        assert err.startswith("error: ") and "'value' must be an integer" in err, claim
+
+
 def test_forced_solver_on_wrong_class(tmp_path, capsys):
     for text, solver in ((CLAW, "pig"), (C4, "tp"), (K3, "bip")):
         gpath = write(tmp_path, "g.txt", text)

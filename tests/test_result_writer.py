@@ -87,3 +87,16 @@ def test_writer_matches_reference_on_empty_lists_and_zero_value(name, g, strong,
         assert (result.value == 0) == (not strong)
         assert cli._result_document(result) == result_document_reference(result), name
 
+
+def test_results_are_a_function_of_the_input():
+    """Solving the same graphs twice gives equal results, stats and
+    certificates included, on every route; no stats value is a float, so
+    none is a timing."""
+    solvers = set()
+    for seed in range(20):
+        first = list(seeded_results(seed))
+        assert first == list(seeded_results(seed)), seed
+        for result in first:
+            solvers.add(result.solver)
+            assert not any(isinstance(v, float) for v in result.stats.values()), result.stats
+    assert solvers == {"pig-dp", "trivially-perfect", "bipartite-matching", "oracle", "mixed"}
