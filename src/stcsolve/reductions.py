@@ -107,14 +107,13 @@ def brute_disjointnn(si: SplitInstance, cap: int = 20) -> tuple[int, frozenset[s
     if len(ws) > cap:
         raise ValueError(f"{len(ws)} independent vertices exceed the cap {cap}")
 
-    best_size = 0
     best: tuple[str, ...] = ()
 
     def dfs(i: int, used: frozenset[str], picked: tuple[str, ...]) -> None:
-        nonlocal best_size, best
-        if len(picked) > best_size:
-            best_size, best = len(picked), picked
-        if i == len(ws) or len(picked) + (len(ws) - i) <= best_size:
+        nonlocal best
+        if len(picked) > len(best):
+            best = picked
+        if i == len(ws) or len(picked) + (len(ws) - i) <= len(best):
             return
         w = ws[i]
         if not (nn[w] & used):
@@ -122,7 +121,7 @@ def brute_disjointnn(si: SplitInstance, cap: int = 20) -> tuple[int, frozenset[s
         dfs(i + 1, used, picked)
 
     dfs(0, frozenset(), ())
-    return best_size, frozenset(best)
+    return len(best), frozenset(best)
 
 
 def gen_maxstc_from_disjointnn(
@@ -204,11 +203,15 @@ def split_assignment_optimum(si: SplitInstance) -> int:
         return (min(sizes) if sizes else len(si.clique_side) + 1, k)
 
     ks = sorted(si.clique_side, key=settle_rank)
-    kpos = {k: i for i, k in enumerate(ks)}
 
+    # settled[i] holds the edges whose lower-indexed endpoint is before depth
+    # i; bits go out by lower endpoint, so it is a run of low bits
     ebit: dict[tuple[str, str], int] = {}
-    for a, b in combinations(ks, 2):
-        ebit[(a, b)] = ebit[(b, a)] = 1 << len(ebit) // 2
+    settled = [0]
+    for i, a in enumerate(ks):
+        for b in ks[i + 1 :]:
+            ebit[(a, b)] = ebit[(b, a)] = 1 << len(ebit) // 2
+        settled.append((1 << len(ebit) // 2) - 1)
     total_k = len(ebit) // 2
 
     # per clique vertex: (doubled gain, clique edges its pick would kill)
@@ -217,14 +220,6 @@ def split_assignment_optimum(si: SplitInstance) -> int:
         opts = [(2, sum(ebit[(k, b)] for b in non[u])) for u in sorted(non) if k not in non[u]]
         opts.append((0, 0))
         options.append(opts)
-
-    # edges whose lower-indexed endpoint is before depth i are "settled"
-    settled = [0] * (len(ks) + 1)
-    for (a, b), bit in ebit.items():
-        if a < b:
-            settled_at = min(kpos[a], kpos[b]) + 1
-            for i in range(settled_at, len(ks) + 1):
-                settled[i] |= bit
 
     best = total_k  # assigning nothing keeps the whole clique strong
     nks = len(ks)

@@ -176,8 +176,8 @@ def brute_mwis(
     """Exact maximum weighted independent set of a conflict graph.
 
     Among all optima the lexicographically smallest node set is returned:
-    after the value is known, nodes are committed in label order whenever an
-    optimum containing the committed prefix still exists. Refuses graphs with
+    after the value is known, each node in label order is committed when some
+    optimum holds it and every node committed before it. Refuses graphs with
     more than `cap` nodes unless `force` is set, and raises ValueError on a
     malformed conflict pair even when there are no nodes. When `counters`
     is given, `counters["bb_states"]` grows by the number of search states
@@ -236,23 +236,20 @@ def _clique_blocks(weights, right) -> tuple[int, list[tuple[int, int]]]:
 
     best[i] is the best weight of positions i..n-1; block i..k-1 is a clique
     exactly when right[i] >= k - 1, so k runs from i + 1 to right[i] + 1 and
-    the scan costs O(n + m). Ties keep the smallest k.
+    the scan costs O(n + m). Ties keep the smallest k. Growing the block by
+    position k-1 adds that weight times the block's weight so far.
     """
     n = len(weights)
-    pref = [0] * (n + 1)
-    prefsq = [0] * (n + 1)
-    for i, w in enumerate(weights):
-        pref[i + 1] = pref[i] + w
-        prefsq[i + 1] = prefsq[i] + w * w
     best = [0] * (n + 1)
     nxt = [n] * n
     for i in range(n - 1, -1, -1):
         top = -1
+        s = pairs = 0
         for k in range(i + 1, right[i] + 2):
-            s = pref[k] - pref[i]
-            val = (s * s - prefsq[k] + prefsq[i]) // 2 + best[k]
-            if val > top:
-                top, nxt[i] = val, k
+            pairs += s * weights[k - 1]
+            s += weights[k - 1]
+            if pairs + best[k] > top:
+                top, nxt[i] = pairs + best[k], k
         best[i] = top
     blocks = []
     i = 0

@@ -12,9 +12,11 @@ labeling document the benchmark writes. Each line holds the workload, seed,
 batch, operation index, the command and its arguments without file paths,
 and the sha256 of the exit code, stdout and stderr. Every solved graph also
 goes through each library solver in LIBRARY_RUNS, one line each with the
-sha256 of the whole result (certificates never reach stdout). Diff the
-output of two trees: equal files mean equal behaviour on every run. Not a
-pytest module.
+sha256 of the whole result (certificates never reach stdout). The output
+ends with one line per `certify_reduction` report over REDUCTION_FAMILIES,
+the sha256 of its fields, so the packing search and the split search are
+compared too. Diff the output of two trees: equal files mean equal
+behaviour on every run. Not a pytest module.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ SOLVE_RUNS = (
 )
 LIBRARY_RUNS = ("solve_auto", "solve_pig_dp", "solve_trivially_perfect",
                 "solve_bipartite", "solve_oracle")
+# (universe size, triplets) of test_reductions.py's generic-path cross-check
+REDUCTION_FAMILIES = (
+    (3, ((1, 2, 3),)),
+    (4, ((1, 2, 3),)),
+    (4, ((1, 2, 3), (1, 2, 4))),
+    (5, ((1, 2, 3), (1, 4, 5))),
+    (5, ((1, 2, 3), (3, 4, 5))),
+    (6, ((1, 2, 3), (4, 5, 6))),
+)
 
 
 def digest(cli, argv: list[str], tmp: str) -> str:
@@ -72,6 +83,20 @@ def result_digest(solve, g) -> str:
         stats = {k: v for k, v in res.stats.items() if k != "time_ms"}
         text = json.dumps([res.value, sorted(res.labeling.strong), res.solver, stats,
                            res.certificate])
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_digest(stcsolve, n: int, triplets) -> str:
+    """sha256 of the JSON of one certification report: packing size,
+    sorted packing witness, optimum, rows and verdict; or of the
+    exception's type and message when the call raises."""
+    try:
+        sp = stcsolve.SetPackingInstance(n, tuple(frozenset(t) for t in triplets))
+        rep = stcsolve.certify_reduction(sp)
+        text = json.dumps([rep.packing_size, sorted(rep.packing_witness), rep.optimum,
+                           rep.rows, rep.all_hold])
     except Exception as exc:
         text = f"{type(exc).__name__}: {exc}"
     return hashlib.sha256(text.encode()).hexdigest()
@@ -115,6 +140,9 @@ def main(argv: list[str]) -> int:
                             for name in LIBRARY_RUNS:
                                 solve = getattr(stcsolve, name)
                                 print(workload, seed, batch, k, name, result_digest(solve, g))
+    for n, triplets in REDUCTION_FAMILIES:
+        family = ",".join("-".join(map(str, t)) for t in triplets)
+        print("certify_reduction", n, family, report_digest(stcsolve, n, triplets))
     return 0
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -147,6 +148,28 @@ def test_assignment_solver_matches_oracle_on_tiny_splits():
     cases.append(SplitInstance(g3, fs("a"), fs("u", "v")))
     for si in cases:
         assert split_assignment_optimum(si) == solve_oracle(si.graph).value
+
+
+def test_assignment_solver_matches_oracle_on_seeded_split_graphs():
+    """Seeded split graphs with 1-7 clique and 0-6 independent vertices,
+    each independent-clique pair an edge with probability 0.6, so
+    non-neighborhoods come in every size and the search's clique order
+    departs from label order. Graphs with at most 22 edges are checked
+    against the brute-force conflict-graph solver."""
+    checked = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        ks = [f"k{i}" for i in range(rng.randint(1, 7))]
+        us = [f"u{i}" for i in range(rng.randint(0, 6))]
+        edges = list(combinations(ks, 2))
+        edges += [(u, k) for u in us for k in ks if rng.random() < 0.6]
+        if len(edges) > 22:
+            continue
+        si = SplitInstance(Graph(ks + us, edges), fs(*ks), fs(*us))
+        want = solve_oracle(si.graph, force=True).value
+        assert split_assignment_optimum(si) == want, f"seed={seed}"
+        checked += 1
+    assert checked > 1000
 
 
 def test_certification_small_consistent_family():
