@@ -280,14 +280,11 @@ def certify_reduction(sp: SetPackingInstance) -> CertificationReport:
     inst, threshold = gen_maxstc_from_disjointnn(si)
     opt = split_assignment_optimum(inst)
     rows = []
-    ok = True
     for k in range(len(sp.triplets) + 1):
         t = threshold(k)
-        stc_holds = opt >= t
-        pack_holds = size >= k
-        rows.append((k, t, stc_holds, pack_holds))
-        ok = ok and (stc_holds == pack_holds)
-    return CertificationReport(size, witness, opt, tuple(rows), ok)
+        rows.append((k, t, opt >= t, size >= k))
+    all_hold = all(stc == pack for _, _, stc, pack in rows)
+    return CertificationReport(size, witness, opt, tuple(rows), all_hold)
 
 
 # ---------------------------------------------------------------------------

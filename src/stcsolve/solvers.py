@@ -214,13 +214,16 @@ def brute_mwis(
 def solve_oracle(
     g: Graph, cap: int = DEFAULT_ORACLE_CAP, force: bool = False
 ) -> SolveResult:
-    """Brute-force solve via the conflict graph. Works on any graph whose
-    edge count fits under the cap."""
+    """Brute-force solve via the conflict graph, whose nodes are g's edges
+    weighted by edge weight, so brute_mwis's witness is the strong set. A
+    graph with more edges than the cap is refused, unless forced, before
+    its conflict graph is built."""
+    if g.m > cap and not force:
+        raise OracleCapError(f"conflict graph has {g.m} nodes, cap is {cap}")
     h = build_incompat(g)
     stats = {"nodes": len(h.nodes), "conflicts": len(h.conflicts), "bb_states": 0}
     value, sset = brute_mwis(h, cap, force, stats)
-    lab = StrongWeakLabeling.from_strong(g, sset)  # _finish validates it
-    assert lab.value == value
+    lab = StrongWeakLabeling(sset, g.edges - sset, value)  # _finish validates it
     cert = {"independent_set": sorted(sset)}
     return _finish(g, lab, "oracle", stats, cert)
 

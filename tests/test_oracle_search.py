@@ -13,10 +13,12 @@ from stcsolve import (
     Graph,
     IncompatGraph,
     OracleCapError,
+    StrongWeakLabeling,
     brute_mwis,
     build_incompat,
     contract_twins,
     maxstc_optimum_contracted,
+    solve_oracle,
 )
 from stcsolve.incompat import canon_pair
 
@@ -70,6 +72,18 @@ def test_weighted_contractions_match_the_reference():
         h = build_incompat(cg)
         check(h)
         assert maxstc_optimum_contracted(g) == brute_mwis_reference(h)[0] + intra
+
+
+def test_oracle_labels_weighted_graphs_from_its_witness():
+    weighted = 0
+    for seed in range(120):
+        g, _ = planted_twin_graph(seed, max_total=12)
+        cg, _tp, _intra = contract_twins(g)
+        res = solve_oracle(cg, force=True)
+        want = StrongWeakLabeling.from_strong(cg, res.certificate["independent_set"])
+        assert res.labeling == want and res.value == want.value, seed
+        weighted += not cg.is_unit_weight()
+    assert weighted >= 30
 
 
 def test_contracted_optimum_matches_the_reference_on_random_graphs():

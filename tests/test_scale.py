@@ -4,6 +4,7 @@ stalled in quadratic dispatch must finish, with exact values."""
 import random
 import time
 
+import pytest
 from oracles import (
     forest_graph,
     long_path_value,
@@ -15,11 +16,14 @@ from oracles import (
     threshold_graph,
 )
 from stcsolve import (
+    DEFAULT_ORACLE_CAP,
     Graph,
+    OracleCapError,
     cli,
     format_edge_list,
     solve_auto,
     solve_bipartite,
+    solve_oracle,
     solve_pig_dp,
     validate_stc,
 )
@@ -134,3 +138,14 @@ def test_recognize_on_star_with_ten_thousand_leaves(tmp_path, capsys):
     # linear side checks take well under a second; a quadratic one, seconds
     assert time.perf_counter() - start < 5.0
     assert line == f"split: yes (clique: h l00000 | independent: {' '.join(leaves[1:])})"
+
+
+def test_oracle_refuses_a_thousand_leaf_star_before_building_its_conflict_graph():
+    leaves = [f"l{i:04d}" for i in range(1000)]
+    g = Graph(["h"] + leaves, [("h", v) for v in leaves])
+    message = f"^conflict graph has 1000 nodes, cap is {DEFAULT_ORACLE_CAP}$"
+    start = time.perf_counter()
+    with pytest.raises(OracleCapError, match=message):
+        solve_oracle(g)
+    # the star's conflict graph has 499500 conflicts; building it takes about a second
+    assert time.perf_counter() - start < 0.25

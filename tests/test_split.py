@@ -61,3 +61,22 @@ def test_split_partition_sides():
     assert find_split_obstruction(c4) == ("C4", ("a", "b", "c", "d"))
     with pytest.raises(RuntimeError, match="no split obstruction"):
         find_split_obstruction(star)
+
+
+def test_split_partition_names_a_clique_and_an_independent_set():
+    split = 0
+    for n in range(7):
+        labels = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(labels, 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(labels, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            sides = split_partition(g)
+            if sides is None:
+                continue
+            split += 1
+            clique, independent = sides
+            # the sides partition the vertices, the clique side first in this order
+            assert clique + independent == sorted(labels, key=lambda v: (-g.degree(v), v))
+            assert all(g.has_edge(u, v) for u, v in combinations(clique, 2))
+            assert not any(g.has_edge(u, v) for u, v in combinations(independent, 2))
+    assert split == 10356  # 33868 labelled graphs on up to 6 vertices, 23512 not split
