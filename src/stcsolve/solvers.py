@@ -60,13 +60,13 @@ def _finish(g: Graph, lab: StrongWeakLabeling, solver: str, stats: dict,
 
 
 class _BitGraph:
-    """Bitmask view of a conflict graph's `IncompatGraph.adjacency()`,
-    ordered for branch and bound: internal node order is by descending
-    conflict degree (label-lexicographic on ties) so the branching pivot is
-    always the lowest set bit. A greedy clique cover computed once per
-    instance supplies the upper bound: each cover clique contributes at
-    most its heaviest remaining member. Both searches open every state with
-    `settle`, which counts it in `states`.
+    """Bitmask view of a conflict graph's `IncompatGraph.adjacency()`, ordered
+    for branch and bound: nodes by descending conflict degree (label order on
+    ties), so the branching pivot is always the lowest set bit. The bound on
+    `rest` adds the heaviest member of each clique of a greedy cover, built
+    once, that meets it: an independent set has at most one node per clique,
+    and on unit weights the bound counts those cliques. Both searches open
+    every state with `settle`, which counts it in `states`.
     """
 
     def __init__(self, h: IncompatGraph):
@@ -111,10 +111,7 @@ class _BitGraph:
         acc = 0
         for cm, members in self.cover:
             if cm & rest:
-                for i in members:
-                    if (rest >> i) & 1:
-                        acc += self.weight[i]
-                        break
+                acc += self.weight[members[0]]
                 if acc >= needed:
                     return True
         return False

@@ -645,6 +645,47 @@ def brute_mwis_reference(h) -> tuple[int, frozenset, int]:
     return best, frozenset(chosen), counters["bb_states"]
 
 
+def remaining_member_bound_reference(bg, rest: int, needed: int) -> bool:
+    """The clique-cover bound as `stcsolve.solvers._BitGraph.bound_reaches`
+    read it before it charged each clique its heaviest member: each cover
+    clique that meets `rest` adds its heaviest member still in `rest`. On
+    unit weights both bounds count the cliques that meet `rest`. Takes the
+    bit graph as `self`, so it can stand in for the method."""
+    acc = 0
+    for cm, members in bg.cover:
+        if cm & rest:
+            for i in members:
+                if (rest >> i) & 1:
+                    acc += bg.weight[i]
+                    break
+            if acc >= needed:
+                return True
+    return False
+
+
+def mwis_exhaustive_reference(h) -> tuple[int, frozenset]:
+    """Maximum weight of an independent set of a conflict graph, found by
+    listing every independent set, and the optimum that the brute-force
+    oracle's commit rule picks: in label order, each node is committed when
+    some optimum holds it and every node committed before it."""
+    nodes = sorted(h.nodes)
+    nbrs = {e: set() for e in nodes}
+    for a, b in h.conflicts:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    sets = [frozenset()]
+    for e in nodes:
+        sets += [s | {e} for s in sets if not nbrs[e] & s]
+    weights = [sum(h.node_weight[e] for e in s) for s in sets]
+    best = max(weights)
+    optima = [s for s, w in zip(sets, weights) if w == best]
+    chosen: set = set()
+    for e in nodes:
+        if any(chosen | {e} <= s for s in optima):
+            chosen.add(e)
+    return best, frozenset(chosen)
+
+
 def tp_strong_reference(g: Graph) -> frozenset:
     """Strong set the conflict-graph route picks on a trivially perfect
     graph: contract true twins, take the cograph MWIS of the contracted

@@ -13,10 +13,16 @@ batch, operation index, the command and its arguments without file paths,
 and the sha256 of the exit code, stdout and stderr. Every solved graph also
 goes through each library solver in LIBRARY_RUNS, one line each with the
 sha256 of the whole result (certificates never reach stdout). The output
-ends with one line per `certify_reduction` report over REDUCTION_FAMILIES,
+then has one line per `certify_reduction` report over REDUCTION_FAMILIES,
 the sha256 of its fields, so the packing search and the split search are
-compared too. Diff the output of two trees: equal files mean equal
-behaviour on every run. Not a pytest module.
+compared too. It ends with one line per twin contraction of
+`oracles.planted_twin_graph(seed, max_total=12)` for WEIGHTED_SEEDS, whose
+weighted conflict graphs no command-line run reaches: the sha256 of the
+forced oracle's value, strong set and certificate on the contracted graph
+and of `maxstc_optimum_contracted` on the graph. Its stats are left out, as
+the weighted search may visit other states for the same answer. Diff the
+output of two trees: equal files mean equal behaviour on every run. Not a
+pytest module.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ REDUCTION_FAMILIES = (
     (5, ((1, 2, 3), (3, 4, 5))),
     (6, ((1, 2, 3), (4, 5, 6))),
 )
+WEIGHTED_SEEDS = range(120)
 
 
 def digest(cli, argv: list[str], tmp: str) -> str:
@@ -102,6 +109,20 @@ def report_digest(stcsolve, n: int, triplets) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def weighted_oracle_digest(stcsolve, g) -> str:
+    """sha256 of the JSON of the forced oracle's value, sorted strong edges
+    and certificate on g's twin contraction, and of g's contracted optimum;
+    or of the exception's type and message when a call raises."""
+    try:
+        cg, _tp, _intra = stcsolve.contract_twins(g)
+        res = stcsolve.solve_oracle(cg, force=True)
+        text = json.dumps([res.value, sorted(res.labeling.strong), res.certificate,
+                           stcsolve.maxstc_optimum_contracted(g)])
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def runs(op, graph: Path) -> list[tuple[list[str], list[str]]]:
     """(shown arguments, full argv) of each run of one operation."""
     if op.kind == "solve":
@@ -143,6 +164,11 @@ def main(argv: list[str]) -> int:
     for n, triplets in REDUCTION_FAMILIES:
         family = ",".join("-".join(map(str, t)) for t in triplets)
         print("certify_reduction", n, family, report_digest(stcsolve, n, triplets))
+    from oracles import planted_twin_graph  # imports the stcsolve given above
+
+    for seed in WEIGHTED_SEEDS:
+        g, _ = planted_twin_graph(seed, max_total=12)
+        print("weighted_oracle", seed, weighted_oracle_digest(stcsolve, g))
     return 0
 
 

@@ -135,7 +135,7 @@ def test_recognize_on_star_with_ten_thousand_leaves(tmp_path, capsys):
     g = Graph(["h"] + leaves, [("h", v) for v in leaves])
     start = time.perf_counter()
     line = _recognize_split_line(tmp_path, capsys, g)
-    # linear side checks take well under a second; a quadratic one, seconds
+    # the degree sort and the CLI output take well under a second
     assert time.perf_counter() - start < 5.0
     assert line == f"split: yes (clique: h l00000 | independent: {' '.join(leaves[1:])})"
 
