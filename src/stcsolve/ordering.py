@@ -10,8 +10,10 @@ Verification checks that every closed neighbourhood is consecutive in the
 ordering, which is the umbrella property (the straight orderings of Looges
 & Olariu, Comput. Math. Appl. 1993), and the same scan yields the reaches
 the DP needs. Each sweep is partition refinement (Habib, McConnell, Paul &
-Viennot, "Lex-BFS and partition refinement", TCS 2000) and costs O(n + m),
-so recognition is linear: three sweeps, then one linear scan.
+Viennot, "Lex-BFS and partition refinement", TCS 2000) and costs O(n + m).
+Recognition sweeps once, sorts the BFS layers from the sweep's last vertex
+and scans that candidate; only a graph it does not prove connected and
+twin-free takes two more sweeps and a second scan. Linear but for the sort.
 """
 
 from __future__ import annotations
@@ -172,14 +174,53 @@ def candidate_order(g: Graph) -> tuple[str, ...]:
     return tuple(_lexbfs(g, s2))
 
 
-def recognize(g: Graph) -> ProperIntervalOrdering | None:
-    """Produce a verified umbrella ordering, or None when there is none.
+def _layer_candidate(g: Graph, b: str) -> tuple[str, ...] | None:
+    """g's vertices by (BFS layer from b, -neighbours in the layer before,
+    neighbours in the layer after and in their own layer), reversed; None
+    when the BFS misses a vertex. On an umbrella ordering starting at b the
+    layers are blocks and, within one, the reaches rise (the left one in the
+    layer before), so if no two vertices share both reaches this key rises
+    strictly along it and the sort rebuilds it."""
+    layer = {b: 0}
+    queue = [b]
+    for x in queue:
+        for y in g.neighbors(x):
+            if y not in layer:
+                layer[y] = layer[x] + 1
+                queue.append(y)
+    if len(queue) < g.n:
+        return None
 
-    A failed verification certifies the graph is not proper interval only
-    because the sweep candidate is guaranteed to be an umbrella ordering
-    whenever one exists.
-    """
-    order = candidate_order(g)
+    def key(v: str) -> tuple[int, int, int, int]:
+        d = layer[v]
+        ls = [layer[u] for u in g.neighbors(v)]
+        before, after = ls.count(d - 1), ls.count(d + 1)
+        return d, -before, after, len(ls) - before - after
+
+    return tuple(sorted(queue, key=key, reverse=True))
+
+
+def recognize(g: Graph) -> ProperIntervalOrdering | None:
+    """A verified umbrella ordering, always `candidate_order(g)`, or None
+    when g has none (the sweep candidate is one whenever one exists).
+
+    After sweep s1 the layer candidate from b = s1[-1] is taken when its BFS
+    reached every vertex, it verifies and its reach pairs are distinct: then
+    g is a connected twin-free proper interval graph, which has two umbrella
+    orderings, each the other reversed (Deng, Hell & Huang, SIAM J. Comput.
+    1996), so only one ends at b. The cited lemma: the last vertex of a
+    LexBFS of a proper interval graph is an end vertex (Corneil, Olariu &
+    Stewart, SODA 1998; Corneil, DAM 2004). So sweep 2 runs from b to the
+    other end and sweep 3 back to b. That the lemma holds for these plus-rule
+    sweeps is checked only empirically, on seeded graphs. Other graphs get
+    sweeps 2 and 3 from the same s1."""
+    s1 = _lexbfs(g)
+    order = _layer_candidate(g, s1[-1]) if s1 else None
+    if order is not None:
+        left, right, bad = _closed_spans(g, order)
+        if bad is None and len(set(zip(left, right))) == g.n:
+            return ProperIntervalOrdering(order, tuple(left), tuple(right))
+    order = tuple(_lexbfs(g, _lexbfs(g, s1)))
     left, right, bad = _closed_spans(g, order)
     if bad is not None:
         return None

@@ -543,7 +543,8 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     and the matching reads that coloring (_solve_on_coloring). A component
     the proper interval solver refuses goes to the brute-force oracle under
     its cap; one with more edges than the cap gets its own forest before it
-    is refused. No P4 or C4 witness is searched for: nothing prints it."""
+    is refused. An isolated vertex is only recorded, as "pig-dp". No P4 or
+    C4 witness is searched for: nothing prints it."""
     if not g.is_unit_weight():
         raise ValueError("solve_auto expects a unit-weight graph")
     parent = trivially_perfect_forest(g)
@@ -552,6 +553,9 @@ def solve_auto(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveResult:
     strong: set[Edge] = set()
     per_comp: dict[str, str] = {}
     for comp in g.connected_components():
+        if comp.n == 1:  # no edge to label
+            per_comp[comp.vertices[0]] = "pig-dp"
+            continue
         # a bipartite non-path holds a claw or an induced even cycle: not PIG
         path = comp.m < comp.n and all(comp.degree(v) <= 2 for v in comp.vertices)
         colors = None if path else two_coloring(comp)

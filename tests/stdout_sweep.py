@@ -20,9 +20,13 @@ compared too. It ends with one line per twin contraction of
 weighted conflict graphs no command-line run reaches: the sha256 of the
 forced oracle's value, strong set and certificate on the contracted graph
 and of `maxstc_optimum_contracted` on the graph. Its stats are left out, as
-the weighted search may visit other states for the same answer. Diff the
-output of two trees: equal files mean equal behaviour on every run. Not a
-pytest module.
+the weighted search may visit other states for the same answer. Last come
+one line per `skewed_conflict_graph(seed)` of tests/test_oracle_bound.py for
+SKEWED_SEEDS: the sha256 of the forced `brute_mwis` value and witness on a
+conflict graph of up to 14 nodes with one heavy node per planted clique,
+where a bound that is not an upper bound loses the optimum. Diff the output
+of two trees: equal files mean equal behaviour on every run. Not a pytest
+module.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ REDUCTION_FAMILIES = (
     (6, ((1, 2, 3), (4, 5, 6))),
 )
 WEIGHTED_SEEDS = range(120)
+SKEWED_SEEDS = range(200)
 
 
 def digest(cli, argv: list[str], tmp: str) -> str:
@@ -123,6 +128,18 @@ def weighted_oracle_digest(stcsolve, g) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def skewed_mwis_digest(stcsolve, h) -> str:
+    """sha256 of the JSON of the forced `brute_mwis` value and sorted
+    witness on conflict graph h; or of the exception's type and message
+    when the call raises."""
+    try:
+        value, witness = stcsolve.brute_mwis(h, force=True)
+        text = json.dumps([value, sorted(witness)])
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def runs(op, graph: Path) -> list[tuple[list[str], list[str]]]:
     """(shown arguments, full argv) of each run of one operation."""
     if op.kind == "solve":
@@ -169,6 +186,11 @@ def main(argv: list[str]) -> int:
     for seed in WEIGHTED_SEEDS:
         g, _ = planted_twin_graph(seed, max_total=12)
         print("weighted_oracle", seed, weighted_oracle_digest(stcsolve, g))
+    from test_oracle_bound import skewed_conflict_graph
+
+    for seed in SKEWED_SEEDS:
+        h = skewed_conflict_graph(seed)
+        print("skewed_mwis", seed, skewed_mwis_digest(stcsolve, h))
     return 0
 
 

@@ -159,3 +159,24 @@ def test_each_non_path_component_is_two_colored_once(monkeypatch):
     assert res.stats["component_solvers"] == {
         "a0": "bipartite-matching", "b0": "oracle", "h": "bipartite-matching",
         "p0": "pig-dp"}
+
+
+def test_isolated_vertices_skip_the_proper_interval_solver(monkeypatch):
+    """C5, an isolated vertex and a P4: the isolated vertex is recorded as a
+    pig-dp component without a recognize call of its own."""
+    calls = []
+    real = solvers.recognize
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(solvers, "recognize", counting)
+    c5 = [(f"b{i}", f"b{(i + 1) % 5}") for i in range(5)]
+    p4 = [("p0", "p1"), ("p1", "p2"), ("p2", "p3")]
+    g = Graph({v for e in c5 + p4 for v in e} | {"i"}, c5 + p4)
+    res = solve_auto(g)
+    assert calls == [5, 4]
+    assert res.stats["component_solvers"] == {"b0": "oracle", "i": "pig-dp", "p0": "pig-dp"}
+    assert res.solver == "mixed"
+    assert res.value == solve_auto_reference(g, DEFAULT_ORACLE_CAP).value
