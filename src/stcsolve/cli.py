@@ -204,10 +204,9 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-# the edges of each witness pattern, by index into its vertices as listed:
-# paths and cycles along themselves, a 2K2 as its two edges
+# the edges of each split obstruction, by index into its vertices as
+# listed: cycles along themselves, a 2K2 as its two edges
 _PATTERNS = {
-    "P4": ((0, 1), (1, 2), (2, 3)),
     "C4": ((0, 1), (1, 2), (2, 3), (0, 3)),
     "2K2": ((0, 1), (2, 3)),
     "C5": ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
@@ -229,7 +228,7 @@ def _induces(g: Graph, kind: str, verts: tuple[str, ...]) -> bool:
 def _cmd_recognize(args) -> int:
     g = _load_graph(args.input)
 
-    order = candidate_order(g)  # the order recognize() verifies
+    order = candidate_order(g)  # what recognize() returns when it verifies
     triple = verify_umbrella(g, order)
     if triple is None:
         print(f"proper-interval: yes (order: {' '.join(order)})")
@@ -240,29 +239,15 @@ def _cmd_recognize(args) -> int:
         print("trivially-perfect: yes")
     else:
         kind, four = find_p4_or_c4(g)
-        if not _induces(g, kind, four):
-            raise RuntimeError("reported quadruple is not the claimed subgraph")
         print(f"trivially-perfect: no (induced {kind}: {' '.join(four)})")
 
     found = _color_or_odd_cycle(g)  # a coloring, or else an odd cycle
     if isinstance(found, dict):
-        bad = [(u, v) for u, v in g.edges if found[u] == found[v]]
-        if bad:
-            raise RuntimeError(f"2-coloring leaves monochromatic edges {bad}")
         zero = " ".join(v for v in g.vertices if found[v] == 0)
         one = " ".join(v for v in g.vertices if found[v] == 1)
         print(f"bipartite: yes (sides: {zero} | {one})")
     else:
-        cycle = found
-        if (
-            len(cycle) % 2 == 0
-            or not all(
-                g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-                for i in range(len(cycle))
-            )
-        ):
-            raise RuntimeError("odd-cycle witness does not check out")
-        print(f"bipartite: no (odd cycle: {' '.join(cycle)})")
+        print(f"bipartite: no (odd cycle: {' '.join(found)})")
 
     split = split_partition(g)
     if split is not None:

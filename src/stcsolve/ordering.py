@@ -174,13 +174,13 @@ def candidate_order(g: Graph) -> tuple[str, ...]:
     return tuple(_lexbfs(g, s2))
 
 
-def _layer_candidate(g: Graph, b: str) -> tuple[str, ...] | None:
-    """g's vertices by (BFS layer from b, -neighbours in the layer before,
-    neighbours in the layer after and in their own layer), reversed; None
-    when the BFS misses a vertex. On an umbrella ordering starting at b the
-    layers are blocks and, within one, the reaches rise (the left one in the
-    layer before), so if no two vertices share both reaches this key rises
-    strictly along it and the sort rebuilds it."""
+def _layer_candidate(g: Graph, b: str) -> tuple[str, ...]:
+    """The vertices b's BFS reaches, by (layer, -neighbours in the layer
+    before, neighbours in the layer after and in their own layer), reversed.
+    On an umbrella ordering starting at b the layers are blocks and, within
+    one, the reaches rise (the left one in the layer before), so if no two
+    vertices share both reaches this key rises strictly along it and the
+    sort rebuilds it."""
     layer = {b: 0}
     queue = [b]
     for x in queue:
@@ -188,8 +188,6 @@ def _layer_candidate(g: Graph, b: str) -> tuple[str, ...] | None:
             if y not in layer:
                 layer[y] = layer[x] + 1
                 queue.append(y)
-    if len(queue) < g.n:
-        return None
 
     def key(v: str) -> tuple[int, int, int, int]:
         d = layer[v]
@@ -204,9 +202,10 @@ def recognize(g: Graph) -> ProperIntervalOrdering | None:
     """A verified umbrella ordering, always `candidate_order(g)`, or None
     when g has none (the sweep candidate is one whenever one exists).
 
-    After sweep s1 the layer candidate from b = s1[-1] is taken when its BFS
-    reached every vertex, it verifies and its reach pairs are distinct: then
-    g is a connected twin-free proper interval graph, which has two umbrella
+    After sweep s1 the layer candidate from b = s1[-1] is taken when it
+    verifies and has n distinct reach pairs. A BFS that misses a vertex
+    gives fewer than n pairs, so g is then a connected twin-free proper
+    interval graph (twins share both reaches), which has two umbrella
     orderings, each the other reversed (Deng, Hell & Huang, SIAM J. Comput.
     1996), so only one ends at b. The cited lemma: the last vertex of a
     LexBFS of a proper interval graph is an end vertex (Corneil, Olariu &
@@ -215,8 +214,8 @@ def recognize(g: Graph) -> ProperIntervalOrdering | None:
     sweeps is checked only empirically, on seeded graphs. Other graphs get
     sweeps 2 and 3 from the same s1."""
     s1 = _lexbfs(g)
-    order = _layer_candidate(g, s1[-1]) if s1 else None
-    if order is not None:
+    if s1:
+        order = _layer_candidate(g, s1[-1])
         left, right, bad = _closed_spans(g, order)
         if bad is None and len(set(zip(left, right))) == g.n:
             return ProperIntervalOrdering(order, tuple(left), tuple(right))

@@ -103,24 +103,18 @@ def _first_quadruple(g: Graph) -> tuple[str, str, str, str] | None:
     a is the first vertex in any such 4-set; b the first later vertex in
     one with a whose other two vertices come after b; c the first vertex
     after b for which a fourth vertex d after c exists, and d the smallest.
+    Every 4-set holding a has no vertex before a, so b, c and d exist.
     """
     vs = g.vertices
     pos = {v: i for i, v in enumerate(vs)}
-    for a in vs:
-        if _in_some_quad(g, a):
-            break
-    else:
+    a = next((v for v in vs if _in_some_quad(g, v)), None)
+    if a is None:
         return None
-    for b in vs[pos[a] + 1 :]:
-        if _pair_in_quad(g, pos, a, b):
-            break
-    else:
-        return None
+    b = next(v for v in vs[pos[a] + 1 :] if _pair_in_quad(g, pos, a, v))
     for c in vs[pos[b] + 1 :]:
         after_c = [d for d in _fourths(g, a, b, c) if pos[d] > pos[c]]
         if after_c:
             return a, b, c, min(after_c)
-    return None
 
 
 def _in_some_quad(g: Graph, a: str) -> bool:
