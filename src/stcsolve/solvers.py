@@ -375,22 +375,35 @@ def _solve_on_forest(g: Graph, parent: dict[str, str | None]) -> SolveResult:
     best: dict[str, int] = {}  # the length of the longest chain down from v
     low = {v: v for v in parent}  # smallest label in the subtree
     pick: dict[str, str] = {}  # the child each chain continues into
+    forks: set[str] = set()  # the vertices with two or more children
     for v in reversed(parent):
         best[v] = 1 + (best[pick[v]] if v in pick else 0)
         p = parent[v]
         if p is not None:
             low[p] = min(low[p], low[v])
             q = pick.get(p)
+            if q is not None:
+                forks.add(p)
             if q is None or (-best[v], low[v]) < (-best[q], low[q]):
                 pick[p] = v
     above: dict[str, list[str]] = {}  # the members of v's chain above v
+    twins: dict[str, int] = {}  # the members of v's twin class down to v
+    tiers: dict[str, int] = {}  # the twin classes from v's root down to v's
+    intra = m = n = 0  # the sizes of g's twin contraction
     for v, p in parent.items():
         above[v] = above[p] + [p] if pick.get(p) == v else []
+        if p is not None and p not in forks:  # an only child: N[v] = N[p]
+            intra += twins[p]
+            twins[v], tiers[v] = twins[p] + 1, tiers[p]
+        else:  # v heads a twin class, one tier below p's
+            twins[v] = 1
+            tiers[v] = 1 + (tiers[p] if p is not None else 0)
+            m += tiers[v] - 1
+            n += 1
     strong = frozenset(canon_edge(a, v) for v in parent for a in above[v])
     lab = StrongWeakLabeling(strong, g.edges - strong, len(strong))
     assert lab.value == sum(best.values()) - len(best)
-    cg, _tp, intra = contract_twins(g)
-    stats = {"conflict_nodes": cg.m, "contracted_n": cg.n, "intra_twin_value": intra}
+    stats = {"conflict_nodes": m, "contracted_n": n, "intra_twin_value": intra}
     return _finish(g, lab, "trivially-perfect", stats, {"forest": parent})
 
 
@@ -412,9 +425,12 @@ def solve_trivially_perfect(g: Graph) -> SolveResult:
     its parent's only child is the parent's true twin and always continues
     its chain, so true twins end up in one strong clique.
 
-    The stats report the sizes of g's twin contraction (contract_twins);
-    the certificate is the forest, whose ancestor-descendant pairs are
-    exactly g's edges.
+    The stats report the sizes of g's twin contraction, read off the forest
+    in the same two passes: N[v] is v's ancestors, v and its descendants, so
+    v is its parent's true twin exactly when it is the parent's only child,
+    and the twin classes are the maximal chains of only children. The
+    certificate is the forest, whose ancestor-descendant pairs are exactly
+    g's edges.
     """
     if not g.is_unit_weight():
         raise ValueError("solve_trivially_perfect expects a unit-weight graph")

@@ -20,13 +20,17 @@ compared too. It ends with one line per twin contraction of
 weighted conflict graphs no command-line run reaches: the sha256 of the
 forced oracle's value, strong set and certificate on the contracted graph
 and of `maxstc_optimum_contracted` on the graph. Its stats are left out, as
-the weighted search may visit other states for the same answer. Last come
+the weighted search may visit other states for the same answer. Then come
 one line per `skewed_conflict_graph(seed)` of tests/test_oracle_bound.py for
 SKEWED_SEEDS: the sha256 of the forced `brute_mwis` value and witness on a
 conflict graph of up to 14 nodes with one heavy node per planted clique,
-where a bound that is not an upper bound loses the optimum. Diff the output
-of two trees: equal files mean equal behaviour on every run. Not a pytest
-module.
+where a bound that is not an upper bound loses the optimum. Last come one
+`tp_twins` line per `chain_forest(seed)` of tests/test_tp_forest.py for
+TP_TWIN_SEEDS: the sha256 of `solve_trivially_perfect`'s whole result on a
+forest of up to about 300 vertices hung with chains of only children, whose
+twin classes the stats count and the benchmark's shallow forests barely
+have. Diff the output of two trees: equal files mean equal behaviour on
+every run. Not a pytest module.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ REDUCTION_FAMILIES = (
 )
 WEIGHTED_SEEDS = range(120)
 SKEWED_SEEDS = range(200)
+TP_TWIN_SEEDS = range(300)
 
 
 def digest(cli, argv: list[str], tmp: str) -> str:
@@ -191,6 +196,11 @@ def main(argv: list[str]) -> int:
     for seed in SKEWED_SEEDS:
         h = skewed_conflict_graph(seed)
         print("skewed_mwis", seed, skewed_mwis_digest(stcsolve, h))
+    from test_tp_forest import chain_forest
+
+    for seed in TP_TWIN_SEEDS:
+        g = chain_forest(seed)
+        print("tp_twins", seed, result_digest(stcsolve.solve_trivially_perfect, g))
     return 0
 
 

@@ -1,7 +1,7 @@
 """The trivially perfect route solves on the input's own forest: it must pick
 the strong set, value and stats of the contract, solve and lift route it
-replaced, build one forest per solve, and leave the P4/C4 witness search to
-the places that print it."""
+replaced, build one forest per solve and no twin contraction, and leave the
+P4/C4 witness search to the places that print it."""
 
 import random
 import time
@@ -15,6 +15,7 @@ from oracles import (
 from stcsolve import (
     Graph,
     cli,
+    contract_twins,
     gen_random_trivially_perfect,
     solve_auto,
     solve_trivially_perfect,
@@ -135,3 +136,69 @@ def test_auto_on_large_clique_plus_p4_skips_the_witness_search():
     assert time.perf_counter() - start < 3.0
     assert res.solver == "pig-dp"
     assert res.value == 700 * 699 // 2 + 2
+
+
+def test_forest_route_never_contracts_twins(monkeypatch):
+    contractions = _counting(monkeypatch, "contract_twins")
+    g = _blow_up(gen_random_trivially_perfect(8, seed=3), 3)
+    assert g.n > 8  # has true twins
+    assert solve_trivially_perfect(g).solver == "trivially-perfect"
+    assert solve_auto(g).solver == "trivially-perfect"
+    assert contractions == []
+    # r's only child c is its twin, as is each of x, y and z's only child:
+    # 16 edges, a claw at c and a triangle, so solve_pig_dp contracts and
+    # refuses it and, over the cap, the oracle would refuse it too
+    labels = ["r", "c", "x", "y", "z", "x2", "y2", "z2"]
+    tp = forest_graph(labels, [None, 0, 1, 1, 1, 2, 3, 4])
+    c4 = [("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "q1")]  # to the matching
+    both = Graph(labels + ["q1", "q2", "q3", "q4"], list(tp.edges) + c4)
+    res = solve_auto(both, oracle_cap=5)
+    assert res.stats["component_solvers"] == {"c": "trivially-perfect",
+                                              "q1": "bipartite-matching"}
+    # the one contraction is solve_pig_dp's; the forest route adds none
+    assert [args[0].vertices for args in contractions] == [tuple(sorted(labels))]
+
+
+def chain_forest(seed: int) -> Graph:
+    """A seeded forest of about 1 to 300 vertices, grown by hanging chains of
+    1 to 6 only children under a new root (one time in five) or under any
+    vertex so far, leaves included, with shuffled labels. Later chains may
+    hang under a chain's members, so twin classes are cut at random."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 300)
+    parent: list = []
+    while len(parent) < size:
+        at = rng.randrange(len(parent)) if parent and rng.random() >= 0.2 else None
+        for _ in range(rng.randint(1, 6)):
+            parent.append(at)
+            at = len(parent) - 1
+    labels = [f"t{i:03d}" for i in range(len(parent))]
+    rng.shuffle(labels)
+    return forest_graph(labels, parent)
+
+
+def _twin_edge_cases():
+    for seed in range(300):
+        yield chain_forest(seed)
+    for k in range(1, 6):
+        yield Graph([f"i{j}" for j in range(k)], [])  # isolated vertices; k = 1 is K1
+    for k in range(2, 51):  # one twin class; k = 2 is K2 and the one-leaf star
+        labels = [f"k{j:02d}" for j in range(k)]
+        yield Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+    for k in range(1, 8):
+        yield Graph(["c"] + [f"l{j}" for j in range(k)], [("c", f"l{j}") for j in range(k)])
+
+
+def test_forest_stats_equal_the_twin_contraction_on_only_child_chains():
+    """The stats read off the forest: an only child is its parent's true
+    twin, so the contracted n counts the chains of only children, the
+    contracted m the pairs of chains one above the other, and the value
+    inside twin classes the pairs inside each chain."""
+    count = 0
+    for i, g in enumerate(_twin_edge_cases()):
+        cg, _tp, intra = contract_twins(g)
+        stats = solve_trivially_perfect(g).stats
+        assert stats == {"conflict_nodes": cg.m, "contracted_n": cg.n,
+                         "intra_twin_value": intra}, i
+        count += 1
+    assert count == 300 + 5 + 49 + 7
