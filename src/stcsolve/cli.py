@@ -18,7 +18,7 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from .edgelist import ParseError, format_edge_list, parse_edge_list
-from .graph import Graph, canon_edge
+from .graph import Graph
 from .incompat import StrongWeakLabeling, build_incompat, validate_stc
 from .ordering import candidate_order, verify_umbrella
 from .reductions import (
@@ -62,12 +62,14 @@ _EXIT_CODES = {
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name} is not UTF-8 text: {exc}") from None
+    return text.removeprefix("\ufeff")  # a byte-order mark is not part of the text
 
 
 def _load_graph(path: str) -> Graph:
@@ -129,15 +131,17 @@ def _parse_labeling(g: Graph, text: str) -> StrongWeakLabeling:
         pairs = doc[key]
         if not isinstance(pairs, list):
             raise ParseError(f"'{key}' must be a list of edge pairs")
-        out = set()
-        for item in pairs:
+        out = []
+        for item in pairs:  # json.loads makes exact lists and strs only
             if (
-                not isinstance(item, list)
+                type(item) is not list
                 or len(item) != 2
-                or not all(isinstance(x, str) for x in item)
+                or type(item[0]) is not str
+                or type(item[1]) is not str
             ):
                 raise ParseError(f"'{key}' entry {item!r} is not a label pair")
-            out.add(canon_edge(*item))
+            u, v = item
+            out.append((u, v) if u <= v else (v, u))
         return frozenset(out)
 
     strong, weak = side("strong"), side("weak")

@@ -7,6 +7,8 @@ of the line. Blank lines are skipped.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .graph import Graph
 
 
@@ -15,33 +17,36 @@ class ParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """The graph of an edge list, checked and built in one pass."""
-    adj: dict[str, set[str]] = {}
-    edges: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
+    """The graph of an edge list, checked and built in one pass. A repeated
+    edge is found in the adjacency being built; the first bad line raises."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    adj: dict[str, set[str]] = defaultdict(set)
+    edges: list[tuple[str, str]] = []
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if len(tokens) == 2 and tokens[0] != "vertex":
+            u, v = tokens
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop on {u!r}")
+            nu = adj[u]
+            if v in nu:
+                raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
+            nu.add(v)
+            adj[v].add(u)
+            edges.append((u, v) if u < v else (v, u))
+        elif not tokens:
             continue
-        if tokens[0] == "vertex":
-            if len(tokens) != 2:
-                raise ParseError(
-                    f"line {lineno}: vertex line needs exactly one label"
-                )
-            adj.setdefault(tokens[1], set())
-            continue
-        if len(tokens) != 2:
+        elif tokens[0] != "vertex":
             raise ParseError(
                 f"line {lineno}: expected two labels, got {len(tokens)}"
             )
-        u, v = tokens
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop on {u!r}")
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
-        edges.add(e)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        elif len(tokens) != 2:
+            raise ParseError(
+                f"line {lineno}: vertex line needs exactly one label"
+            )
+        else:
+            adj.setdefault(tokens[1], set())
     return Graph._trusted(
         tuple(sorted(adj)),
         frozenset(edges),

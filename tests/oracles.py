@@ -1074,6 +1074,24 @@ def parse_edge_list_reference(text: str) -> Graph:
     return Graph(vertices, edges)
 
 
+def labeling_pairs_reference(doc: dict, key: str) -> frozenset:
+    """The canonical label pairs of one side of a parsed labeling document,
+    each entry checked with isinstance and put in order by canon_edge."""
+    pairs = doc[key]
+    if not isinstance(pairs, list):
+        raise ParseError(f"'{key}' must be a list of edge pairs")
+    out = set()
+    for item in pairs:
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or not all(isinstance(x, str) for x in item)
+        ):
+            raise ParseError(f"'{key}' entry {item!r} is not a label pair")
+        out.add(canon_edge(*item))
+    return frozenset(out)
+
+
 def graph_invariant_violations(g: Graph) -> list[str]:
     """What a Graph must satisfy, however it was built: sorted distinct
     vertices, canonical edges between them, a symmetric adjacency that

@@ -10,7 +10,16 @@ given `src` directory. Every graph that the benchmark solves runs through
 recognize and verify operation of `check` runs as it is, verify with the
 labeling document the benchmark writes. Each line holds the workload, seed,
 batch, operation index, the command and its arguments without file paths,
-and the sha256 of the exit code, stdout and stderr. Every solved graph also
+and the sha256 of the exit code, stdout and stderr. A `malformed` line
+follows for each refused input of a fixed list, with the same sha256, so
+the readers' error paths are compared too: each kind of bad edge-list line
+(BAD_LINES) first, in the middle and last among comment-only, blank and
+vertex lines, with LF and with CRLF endings, through `solve` and `verify`;
+each labeling document that `verify` refuses (BAD_LABELINGS: not JSON,
+missing keys, a side that is no list, a bad entry, a `value` that is no
+integer or the wrong one); and a graph and a labeling that are not UTF-8.
+Inputs with a byte-order mark are left out, as older trees read the mark as
+part of the first label. Every solved graph also
 goes through each library solver in LIBRARY_RUNS, one line each with the
 sha256 of the whole result (certificates never reach stdout). The output
 then has one line per `certify_reduction` report over REDUCTION_FAMILIES,
@@ -73,6 +82,48 @@ REDUCTION_FAMILIES = (
 WEIGHTED_SEEDS = range(120)
 SKEWED_SEEDS = range(200)
 TP_TWIN_SEEDS = range(300)
+# a well-formed edge list with a comment-only line, a blank line, a declared
+# vertex and a trailing comment; each bad line goes first, in the middle and last
+GOOD_LINES = ("a b", "# comment only", "b c", "", "vertex z", "c d  # trailing", "d e")
+BAD_LINES = (
+    ("vertex-bare", "vertex"),
+    ("vertex-two", "vertex x y"),
+    ("one-label", "a"),
+    ("three-labels", "a b c"),
+    ("self-loop", "q q"),
+    ("duplicate", "b c"),
+    ("duplicate-reversed", "e d"),
+)
+BAD_AT = (("first", 0), ("middle", len(GOOD_LINES) // 2), ("last", len(GOOD_LINES)))
+GOOD_LABELING = {"strong": [["a", "b"], ["c", "d"]], "weak": [["c", "b"], ["d", "e"]]}
+# labeling documents every one of which verify refuses, against GOOD_LINES
+BAD_LABELINGS = (
+    ("empty", ""),
+    ("not-json", "{"),
+    ("trailing-comma", '{"strong": [], "weak": [],}'),
+    ("deep", "[" * 3000 + "]" * 3000),
+    ("top-list", "[]"),
+    ("no-strong", '{"weak": []}'),
+    ("no-weak", '{"strong": []}'),
+    ("strong-dict", '{"strong": {}, "weak": []}'),
+    ("weak-string", '{"strong": [], "weak": "ab"}'),
+    ("entry-string", '{"strong": ["ab"], "weak": []}'),
+    ("entry-int", '{"strong": [["a", "b"]], "weak": [3]}'),
+    ("entry-null", '{"strong": [null], "weak": []}'),
+    ("entry-one", '{"strong": [["a"]], "weak": []}'),
+    ("entry-three", '{"strong": [["a", "b"], ["b", "c", "d"]], "weak": []}'),
+    ("member-int", '{"strong": [], "weak": [["a", 1]]}'),
+    ("member-bool", '{"strong": [[true, "b"]], "weak": []}'),
+    ("member-null", '{"strong": [["a", null]], "weak": []}'),
+    ("member-nested", '{"strong": [["a", ["b"]]], "weak": []}'),
+    ("bad-strong-and-weak", '{"strong": [["a", "b"], 7], "weak": [["c"]]}'),
+    ("value-bool", json.dumps({**GOOD_LABELING, "value": True})),
+    ("value-string", json.dumps({**GOOD_LABELING, "value": "2"})),
+    ("value-float", json.dumps({**GOOD_LABELING, "value": 2.0})),
+    ("value-wrong", json.dumps({**GOOD_LABELING, "value": 3})),
+    ("value-negative", json.dumps({**GOOD_LABELING, "value": -2})),
+)
+NOT_UTF8 = b"a b\n\xff c\n"
 
 
 def digest(cli, argv: list[str], tmp: str) -> str:
@@ -145,6 +196,35 @@ def skewed_mwis_digest(stcsolve, h) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def malformed_lines(cli, tmp: str):
+    """One digest line per malformed input: each bad edge-list line at each
+    place, with LF and CRLF endings, through solve and verify; each refused
+    labeling document through verify; and text that is not UTF-8 as either
+    file."""
+    good_lab = Path(tmp) / "good.json"
+    good_lab.write_text(json.dumps(GOOD_LABELING), encoding="utf-8")
+    text = Path(tmp) / "bad.txt"
+    for name, bad in BAD_LINES:
+        for place, at in BAD_AT:
+            for ending in ("\n", "\r\n"):
+                lines = [*GOOD_LINES[:at], bad, *GOOD_LINES[at:]]
+                text.write_bytes(ending.join(lines).encode())
+                end = "crlf" if ending == "\r\n" else "lf"
+                for argv in (["solve", str(text)], ["verify", str(text), str(good_lab)]):
+                    yield ("malformed", name, place, end, argv[0], digest(cli, argv, tmp))
+    graph = Path(tmp) / "good.txt"
+    graph.write_text("\n".join(GOOD_LINES) + "\n", encoding="utf-8")
+    labeling = Path(tmp) / "bad.json"
+    for name, doc in BAD_LABELINGS:
+        labeling.write_text(doc, encoding="utf-8")
+        argv = ["verify", str(graph), str(labeling)]
+        yield ("malformed", "labeling", name, digest(cli, argv, tmp))
+    text.write_bytes(NOT_UTF8)
+    for name, argv in (("graph", ["verify", str(text), str(good_lab)]),
+                       ("labeling", ["verify", str(graph), str(text)])):
+        yield ("malformed", "not-utf8", name, digest(cli, argv, tmp))
+
+
 def runs(op, graph: Path) -> list[tuple[list[str], list[str]]]:
     """(shown arguments, full argv) of each run of one operation."""
     if op.kind == "solve":
@@ -183,6 +263,8 @@ def main(argv: list[str]) -> int:
                             for name in LIBRARY_RUNS:
                                 solve = getattr(stcsolve, name)
                                 print(workload, seed, batch, k, name, result_digest(solve, g))
+        for line in malformed_lines(cli, tmp):
+            print(*line)
     for n, triplets in REDUCTION_FAMILIES:
         family = ",".join("-".join(map(str, t)) for t in triplets)
         print("certify_reduction", n, family, report_digest(stcsolve, n, triplets))

@@ -314,6 +314,24 @@ def test_verify_rejects_non_utf8_graph_and_labeling(tmp_path, capsys):
         assert_input_error(*run(capsys, "verify", *argv))
 
 
+BOM = "\ufeff".encode()
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_input(tmp_path, capsys, monkeypatch):
+    """A BOM is not glued to the first label, nor refused by the JSON reader,
+    whether the text comes from a file or from stdin."""
+    gpath = write_bytes(tmp_path, "dup.txt", BOM + b"a b\nb a\n")
+    assert run(capsys, "solve", gpath) == (2, "", "error: line 2: duplicate edge b a\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeffa b\nb a\n"))
+    assert run(capsys, "solve", "-") == (2, "", "error: line 2: duplicate edge b a\n")
+    gpath = write_bytes(tmp_path, "g.txt", BOM + P3.encode())
+    code, out, _ = run(capsys, "recognize", gpath)
+    assert code == 0 and "proper-interval: yes (order: a b c)" in out
+    lab = json.dumps({"strong": [["a", "b"]], "weak": [["b", "c"]]})
+    lpath = write_bytes(tmp_path, "lab.json", BOM + lab.encode())
+    assert run(capsys, "verify", gpath, lpath) == (0, "VALID value=1\n", "")
+
+
 def test_generate_rejects_negative_size(capsys):
     for kind in ("pig", "tp"):
         code, out, err = run(capsys, "generate", kind, "--n", "-3")

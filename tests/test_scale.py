@@ -1,6 +1,7 @@
 """Scale regressions: inputs that once crashed on the recursion limit or
 stalled in quadratic dispatch must finish, with exact values."""
 
+import json
 import random
 import time
 
@@ -149,3 +150,20 @@ def test_oracle_refuses_a_thousand_leaf_star_before_building_its_conflict_graph(
         solve_oracle(g)
     # the star's conflict graph has 499500 conflicts; building it takes about a second
     assert time.perf_counter() - start < 0.25
+
+
+def test_verify_reads_a_hundred_thousand_edges_and_pairs_in_linear_time(tmp_path, capsys):
+    """Both readers on a path with 10^5 edges: a duplicate found by a scan
+    of a list, or any other quadratic slip, would take minutes."""
+    labels = [f"p{i:06d}" for i in range(100_001)]
+    edges = list(zip(labels, labels[1:]))
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    pairs = [[v, u] if i % 3 else [u, v] for i, (u, v) in enumerate(edges)]
+    lpath = tmp_path / "lab.json"
+    lpath.write_text(json.dumps({"strong": pairs[::2], "weak": pairs[1::2], "value": 50_000}))
+    start = time.perf_counter()
+    code = cli.main(["verify", str(gpath), str(lpath)])
+    # both readers and the validation take about a second on a loaded 2-core machine
+    assert time.perf_counter() - start < 5.0
+    assert (code, capsys.readouterr().out) == (0, "VALID value=50000\n")
